@@ -73,9 +73,9 @@ void BM_CountVsMaterialize(benchmark::State& state) {
   for (auto _ : state) {
     pattern::Matcher matcher(p, g);
     if (materialize) {
-      benchmark::DoNotOptimize(matcher.FindAll().size());
+      benchmark::DoNotOptimize(matcher.FindAllChecked().ValueOrDie().size());
     } else {
-      benchmark::DoNotOptimize(matcher.Count());
+      benchmark::DoNotOptimize(matcher.CountChecked().ValueOrDie());
     }
   }
   bench::ExportMatchStats(state, p, g);

@@ -24,7 +24,8 @@ void BM_PatternSizeSweep(benchmark::State& state) {
   for (size_t i = 0; i < k; ++i) b.Edge(nodes[i], "links-to", nodes[i + 1]);
   auto p = b.BuildOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern::Matcher(p, g).Count());
+    benchmark::DoNotOptimize(
+        pattern::Matcher(p, g).CountChecked().ValueOrDie());
   }
   bench::ExportMatchStats(state, p, g);
 }
@@ -42,7 +43,8 @@ void BM_InstanceSizeSweep(benchmark::State& state) {
   b.Edge(x, "links-to", y).Edge(y, "links-to", z);
   auto p = b.BuildOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern::Matcher(p, g).Count());
+    benchmark::DoNotOptimize(
+        pattern::Matcher(p, g).CountChecked().ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * n);
   bench::ExportMatchStats(state, p, g);
@@ -61,7 +63,8 @@ void BM_DensitySweep(benchmark::State& state) {
   b.Edge(x, "links-to", y).Edge(y, "links-to", z);
   auto p = b.BuildOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern::Matcher(p, g).Count());
+    benchmark::DoNotOptimize(
+        pattern::Matcher(p, g).CountChecked().ValueOrDie());
   }
   bench::ExportMatchStats(state, p, g);
 }
@@ -86,7 +89,8 @@ void BM_InstanceSizeThreadSweep(benchmark::State& state) {
   pattern::MatchOptions options;
   options.num_threads = threads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern::Matcher(p, g, options).Count());
+    benchmark::DoNotOptimize(
+        pattern::Matcher(p, g, options).CountChecked().ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * n);
   bench::ExportMatchStats(state, p, g, options);
@@ -110,7 +114,8 @@ void BM_DensityThreadSweep(benchmark::State& state) {
   pattern::MatchOptions options;
   options.num_threads = threads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern::Matcher(p, g, options).Count());
+    benchmark::DoNotOptimize(
+        pattern::Matcher(p, g, options).CountChecked().ValueOrDie());
   }
   bench::ExportMatchStats(state, p, g, options);
 }
@@ -166,7 +171,8 @@ void BM_MultiAnchorPlannerSweep(benchmark::State& state) {
       naive ? pattern::PlannerMode::kNaive : pattern::PlannerMode::kCostBased;
   options.use_plan_cache = false;  // Isolate planning quality, not reuse.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern::Matcher(p, g, options).Count());
+    benchmark::DoNotOptimize(
+        pattern::Matcher(p, g, options).CountChecked().ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * n);
   bench::ExportMatchStats(state, p, g, options);
@@ -193,7 +199,8 @@ void BM_PlanCacheSweep(benchmark::State& state) {
   options.use_plan_cache = !uncached;
   pattern::ResetGlobalPlanCache();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern::Matcher(p, g, options).Count());
+    benchmark::DoNotOptimize(
+        pattern::Matcher(p, g, options).CountChecked().ValueOrDie());
   }
   bench::ExportMatchStats(state, p, g, options);
 }

@@ -30,7 +30,7 @@ inline void ExportMatchStats(benchmark::State& state,
                              pattern::MatchOptions options = {}) {
   pattern::MatchStats stats;
   options.stats = &stats;
-  pattern::Matcher(pattern, instance, options).Count();
+  pattern::Matcher(pattern, instance, options).CountChecked().ValueOrDie();
   state.counters["cand"] = static_cast<double>(stats.candidates_scanned);
   state.counters["rej"] = static_cast<double>(stats.feasibility_rejections);
   state.counters["bt"] = static_cast<double>(stats.backtracks);

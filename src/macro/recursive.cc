@@ -1,7 +1,5 @@
 #include "macro/recursive.h"
 
-#include <memory>
-
 #include "graph/undo_journal.h"
 #include "ops/transaction.h"
 #include "pattern/builder.h"
@@ -33,13 +31,11 @@ Status RecursiveEdgeAddition::Apply(Scheme* scheme, Instance* instance,
   // Semi-naive: from iteration 2 on, only matchings binding into the
   // previous iteration's additions are enumerated — exact because the
   // edge addition is idempotent (see ops::EvalMode). A local copy of
-  // the underlying op carries the delta/pin (Apply is const); the outer
+  // the underlying op carries the delta (Apply is const); the outer
   // transaction exists to supply the journal the windows read and is
   // committed on every exit path — each underlying Apply already rolls
   // itself back on failure.
   ops::EdgeAddition ea = underlying_;
-  std::shared_ptr<pattern::PlanPin> pin = pattern::MakePlanPin();
-  ea.set_plan_pin(pin.get());
   ops::Transaction run_txn(scheme, instance);
   graph::UndoJournal* journal = instance->journal();
   size_t watermark = 0;

@@ -43,9 +43,8 @@ class RecursiveEdgeAddition {
 
   /// Fixpoint strategy — see ops::EvalMode. kIncremental (the default)
   /// seeds each iteration's matching from the edges the previous
-  /// iteration added (read off an undo journal window) and pins the
-  /// compiled search plans for the run; both modes add the same edges
-  /// in the same number of iterations.
+  /// iteration added (read off an undo journal window); both modes add
+  /// the same edges in the same number of iterations.
   void set_eval_mode(ops::EvalMode mode) { eval_mode_ = mode; }
   ops::EvalMode eval_mode() const { return eval_mode_; }
 

@@ -108,7 +108,6 @@ Result<std::vector<Matching>> PatternOperation::Matchings(
   options.parallel_threshold = parallel_threshold_;
   options.deadline = deadline;
   options.delta = delta_;
-  options.plan_pin = plan_pin_;
   GOOD_ASSIGN_OR_RETURN(
       std::vector<Matching> matchings,
       pattern::Matcher(pattern_, instance, options).FindAllChecked());

@@ -131,12 +131,6 @@ class PatternOperation {
   void set_delta(const pattern::DeltaSet* delta) { delta_ = delta; }
   const pattern::DeltaSet* delta() const { return delta_; }
 
-  /// Per-run plan store (not owned; may be null): pins compiled search
-  /// plans across the stats-epoch churn of a fixpoint run — see
-  /// pattern::MatchOptions::plan_pin.
-  void set_plan_pin(pattern::PlanPin* pin) { plan_pin_ = pin; }
-  pattern::PlanPin* plan_pin() const { return plan_pin_; }
-
  protected:
   explicit PatternOperation(Pattern pattern) : pattern_(std::move(pattern)) {}
 
@@ -154,7 +148,6 @@ class PatternOperation {
   size_t num_threads_ = 0;
   size_t parallel_threshold_ = pattern::kDefaultParallelThreshold;
   const pattern::DeltaSet* delta_ = nullptr;
-  pattern::PlanPin* plan_pin_ = nullptr;
 };
 
 /// \brief Node addition NA[J, K, {(α1, m1), ..., (αn, mn)}]

@@ -553,15 +553,17 @@ std::vector<NodeId> DeltaRoots(const Pattern& pattern,
 // Plan cache
 // ---------------------------------------------------------------------------
 
-/// Structural fingerprint of a pattern, cache-key-ready: node ids with
-/// labels and a has-print marker (the print *value* is irrelevant — the
-/// plan reads values from the live pattern at enumeration time and the
-/// cost model only cares that the set is pinned to ≤1), plus every
-/// edge. Prefixed with the instance's stats epoch: any mutation bumps
-/// the epoch, so stale plans simply stop being found and age out of the
-/// LRU.
-std::string PatternFingerprint(const Pattern& pattern) {
+/// Global plan-cache key: the instance's stats epoch, then the
+/// pattern's structural fingerprint — node ids with labels and a
+/// has-print marker (the print *value* is irrelevant — the plan reads
+/// values from the live pattern at enumeration time and the cost model
+/// only cares that the set is pinned to ≤1), plus every edge. Any
+/// mutation bumps the epoch, so stale plans simply stop being found and
+/// age out of the LRU.
+std::string PlanKey(const Pattern& pattern, uint64_t epoch) {
   std::string key;
+  key += 'e';
+  key.append(std::to_string(epoch));
   for (NodeId m : pattern.AllNodes()) {
     key += '|';
     key.append(std::to_string(m.id));
@@ -575,27 +577,6 @@ std::string PatternFingerprint(const Pattern& pattern) {
       key.append(std::to_string(target.id));
     }
   }
-  return key;
-}
-
-std::string PlanKey(const Pattern& pattern, uint64_t epoch) {
-  std::string key;
-  key += 'e';
-  key.append(std::to_string(epoch));
-  key.append(PatternFingerprint(pattern));
-  return key;
-}
-
-/// Slot key for a PlanPin: pattern structure + planner mode + which
-/// plan (the full plan or one seed item's) — deliberately NOT the stats
-/// epoch, that is the whole point of pinning.
-std::string PinKey(const Pattern& pattern, PlannerMode mode,
-                   const std::string& slot) {
-  std::string key;
-  key += mode == PlannerMode::kCostBased ? 'c' : 'n';
-  key += '#';
-  key.append(slot);
-  key.append(PatternFingerprint(pattern));
   return key;
 }
 
@@ -675,54 +656,17 @@ class PlanCache {
   size_t misses_ = 0;
 };
 
-}  // namespace
-
-/// The per-run pinned-plan store declared in matcher.h. A plain map —
-/// no LRU, no locking: one pin serves one engine run, which executes
-/// matchers sequentially and holds a handful of patterns. Reusing a
-/// plan across stats epochs is sound because plans only fix the node
-/// elimination order and anchor/direction choices; every constraint is
-/// re-verified against the live instance during enumeration.
-class PlanPin {
- public:
-  std::shared_ptr<const SearchPlan> Lookup(const std::string& key) const {
-    auto it = slots_.find(key);
-    return it == slots_.end() ? nullptr : it->second;
-  }
-
-  void Insert(const std::string& key, std::shared_ptr<const SearchPlan> plan) {
-    slots_[key] = std::move(plan);
-  }
-
- private:
-  std::unordered_map<std::string, std::shared_ptr<const SearchPlan>> slots_;
-};
-
-std::shared_ptr<PlanPin> MakePlanPin() { return std::make_shared<PlanPin>(); }
-
-namespace {
-
 /// The single full-plan acquisition point for every Matcher entry path:
-/// pin lookup first (epoch-independent), then the global cache
-/// (cost-based plans with caching enabled), build on miss, and
-/// planner-observability recording into MatchOptions::stats. A pin hit
-/// counts as a plan_cache_hit.
+/// the global cache (cost-based plans with caching enabled), build on
+/// miss, and planner-observability recording into MatchOptions::stats.
 std::shared_ptr<const SearchPlan> AcquirePlan(const Pattern& pattern,
                                               const Instance& instance,
                                               const MatchOptions& options) {
   std::shared_ptr<const SearchPlan> plan;
-  std::string pin_key;
-  if (options.plan_pin != nullptr) {
-    pin_key = PinKey(pattern, options.planner, "full");
-    plan = options.plan_pin->Lookup(pin_key);
-    if (plan != nullptr && options.stats != nullptr) {
-      ++options.stats->plan_cache_hits;
-    }
-  }
   const bool cacheable =
       options.planner == PlannerMode::kCostBased && options.use_plan_cache;
   std::string key;
-  if (plan == nullptr && cacheable) {
+  if (cacheable) {
     key = PlanKey(pattern, instance.stats_epoch());
     plan = PlanCache::Get().Lookup(key);
     if (options.stats != nullptr) {
@@ -732,15 +676,11 @@ std::shared_ptr<const SearchPlan> AcquirePlan(const Pattern& pattern,
         ++options.stats->plan_cache_misses;
       }
     }
-    if (plan != nullptr && options.plan_pin != nullptr) {
-      options.plan_pin->Insert(pin_key, plan);
-    }
   }
   if (plan == nullptr) {
     plan = std::make_shared<const SearchPlan>(
         BuildSearchPlan(pattern, instance, options.planner));
     if (cacheable) PlanCache::Get().Insert(key, plan);
-    if (options.plan_pin != nullptr) options.plan_pin->Insert(pin_key, plan);
   }
   if (options.stats != nullptr) {
     options.stats->plan_order.clear();
@@ -748,30 +688,6 @@ std::shared_ptr<const SearchPlan> AcquirePlan(const Pattern& pattern,
     for (NodeId m : plan->order) options.stats->plan_order.push_back(m.id);
     options.stats->depth_est_fanout = plan->est_fanout;
   }
-  return plan;
-}
-
-/// Seed-item plan acquisition: pin slot per (pattern, planner, item),
-/// built on miss. Seeded plans never enter the global cache — its
-/// (fingerprint, epoch) key would miss every fixpoint round anyway,
-/// which is the churn the pin exists to absorb.
-std::shared_ptr<const SearchPlan> AcquireSeededPlan(
-    const Pattern& pattern, const Instance& instance,
-    const MatchOptions& options, const std::vector<SeedItem>& items,
-    size_t index) {
-  std::string pin_key;
-  if (options.plan_pin != nullptr) {
-    pin_key = PinKey(pattern, options.planner, std::to_string(index));
-    std::shared_ptr<const SearchPlan> pinned =
-        options.plan_pin->Lookup(pin_key);
-    if (pinned != nullptr) {
-      if (options.stats != nullptr) ++options.stats->plan_cache_hits;
-      return pinned;
-    }
-  }
-  auto plan = std::make_shared<const SearchPlan>(BuildSeededSearchPlan(
-      pattern, instance, options.planner, items, index));
-  if (options.plan_pin != nullptr) options.plan_pin->Insert(pin_key, plan);
   return plan;
 }
 
@@ -1099,15 +1015,15 @@ class Enumerator {
   size_t emitted_ = 0;
 };
 
-/// The parallel driver behind FindAll/Count. Partitions the depth-0
-/// candidate list into chunks, runs a per-worker Enumerator over the
-/// chunks via the shared thread pool queue, and merges chunk outputs in
-/// chunk-index order — so the matching sequence and all stats (except
-/// workers_used) are identical to the serial matcher's. Sets *engaged
-/// to false (without touching the outputs) when the enumeration is
-/// ineligible: serial options, a limit, the empty pattern, or a depth-0
-/// candidate list below the threshold — the caller then runs the serial
-/// engine. When a deadline interrupt cuts the run short, returns the
+/// The parallel driver behind FindAllChecked/CountChecked. Partitions
+/// the depth-0 candidate list into chunks, runs a per-worker Enumerator
+/// over the chunks via the shared thread pool queue, and merges chunk
+/// outputs in chunk-index order — so the matching sequence and all
+/// stats (except workers_used) are identical to the serial matcher's.
+/// Sets *engaged to false (without touching the outputs) when the
+/// enumeration is ineligible: serial options, a limit, the empty
+/// pattern, or a depth-0 candidate list below the threshold — the
+/// caller then runs the serial engine. When a deadline interrupt cuts the run short, returns the
 /// interrupt status with the outputs and stats untouched.
 Status TryParallelEnumerate(const Pattern& pattern, const Instance& instance,
                             const SearchPlan& plan,
@@ -1235,9 +1151,9 @@ Status RunSerialEnumeration(const Pattern& pattern, const Instance& instance,
 /// engages under the usual conditions (no callback, no limit, enough
 /// roots) with the serial engine as fallback — both walk the same
 /// roots under the same plan, so the emitted sequence is byte-identical
-/// either way. `callback` (ForEach semantics, always serial) and `out`
-/// (FindAll) are each optional; `total_out` is kept current so an
-/// interrupt still reports the visited count.
+/// either way. `callback` (ForEachChecked semantics, always serial) and
+/// `out` (FindAllChecked) are each optional; `total_out` is kept current
+/// so an interrupt still reports the visited count.
 Status RunDeltaEnumeration(const Pattern& pattern, const Instance& instance,
                            const MatchOptions& options,
                            const std::function<bool(const Matching&)>* callback,
@@ -1251,8 +1167,11 @@ Status RunDeltaEnumeration(const Pattern& pattern, const Instance& instance,
     std::vector<NodeId> roots =
         DeltaRoots(pattern, instance, delta, items[i], options.stats);
     if (roots.empty()) continue;
-    std::shared_ptr<const SearchPlan> plan =
-        AcquireSeededPlan(pattern, instance, options, items, i);
+    // Seeded plans never enter the global plan cache: delta-seeded runs
+    // are fixpoint rounds, each of which mutates the instance and so
+    // bumps the stats epoch the cache keys by.
+    const SearchPlan plan =
+        BuildSeededSearchPlan(pattern, instance, options.planner, items, i);
     MatchOptions item_options = options;
     item_options.limit =
         options.limit == kNoLimit ? kNoLimit : options.limit - total;
@@ -1261,7 +1180,7 @@ Status RunDeltaEnumeration(const Pattern& pattern, const Instance& instance,
       bool engaged = false;
       std::vector<Matching> item_out;
       GOOD_RETURN_NOT_OK(TryParallelEnumerate(
-          pattern, instance, *plan, item_options,
+          pattern, instance, plan, item_options,
           out != nullptr ? &item_out : nullptr, &item_count, &engaged, &roots,
           &delta));
       if (engaged) {
@@ -1274,7 +1193,7 @@ Status RunDeltaEnumeration(const Pattern& pattern, const Instance& instance,
         continue;
       }
     }
-    Enumerator enumerator(pattern, instance, *plan, item_options.limit,
+    Enumerator enumerator(pattern, instance, plan, item_options.limit,
                           options.stats, options.deadline, nullptr);
     enumerator.set_delta(&delta);
     enumerator.set_root_override(&roots);
@@ -1314,13 +1233,6 @@ Status Matcher::ForEachChecked(
                               visited);
 }
 
-size_t Matcher::ForEach(
-    const std::function<bool(const Matching&)>& callback) const {
-  size_t visited = 0;
-  (void)ForEachChecked(callback, &visited);
-  return visited;
-}
-
 Result<std::vector<Matching>> Matcher::FindAllChecked() const {
   if (options_.deadline != nullptr) {
     GOOD_RETURN_NOT_OK(options_.deadline->Check());
@@ -1351,12 +1263,6 @@ Result<std::vector<Matching>> Matcher::FindAllChecked() const {
   return out;
 }
 
-std::vector<Matching> Matcher::FindAll() const {
-  Result<std::vector<Matching>> result = FindAllChecked();
-  if (!result.ok()) return {};
-  return std::move(*result);
-}
-
 Result<size_t> Matcher::CountChecked() const {
   if (options_.deadline != nullptr) {
     GOOD_RETURN_NOT_OK(options_.deadline->Check());
@@ -1381,11 +1287,6 @@ Result<size_t> Matcher::CountChecked() const {
   return visited;
 }
 
-size_t Matcher::Count() const {
-  Result<size_t> result = CountChecked();
-  return result.ok() ? *result : 0;
-}
-
 Result<bool> Matcher::ExistsChecked() const {
   MatchOptions limited = options_;
   limited.limit = std::min<size_t>(options_.limit, 1);
@@ -1394,18 +1295,14 @@ Result<bool> Matcher::ExistsChecked() const {
   return count > 0;
 }
 
-bool Matcher::Exists() const {
-  Result<bool> result = ExistsChecked();
-  return result.ok() && *result;
-}
-
 PlanCacheInfo GlobalPlanCacheInfo() { return PlanCache::Get().Info(); }
 
 void ResetGlobalPlanCache() { PlanCache::Get().Reset(); }
 
 std::vector<Matching> FindMatchings(const Pattern& pattern,
                                     const graph::Instance& instance) {
-  return Matcher(pattern, instance).FindAll();
+  // No deadline is configured, so the enumeration cannot be cut off.
+  return Matcher(pattern, instance).FindAllChecked().ValueOrDie();
 }
 
 std::vector<Matching> FindMatchingsBruteForce(

@@ -17,7 +17,6 @@
 #define GOOD_PATTERN_MATCHER_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -107,10 +106,10 @@ struct MatchStats {
   /// been accumulated). Unlike the other counters this is not additive,
   /// so operator+= takes the maximum across accumulated runs.
   size_t workers_used = 0;
-  /// Plan-cache outcomes over the enumerations this object observed
-  /// (additive). Both stay 0 when caching is disabled or the naive
-  /// planner runs. Pinned-plan reuse (MatchOptions::plan_pin) counts as
-  /// a hit.
+  /// Global plan-cache outcomes over the enumerations this object
+  /// observed (additive). Both stay 0 when caching is disabled, the
+  /// naive planner runs, or the run is delta-seeded (seeded plans are
+  /// built per call and never cached).
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
   /// Candidates rejected by delta-membership constraints during a
@@ -220,24 +219,6 @@ class DeltaSet {
 /// additions, then Finalize. `mark` is a graph::UndoJournal::Mark.
 DeltaSet BuildDeltaSince(const graph::UndoJournal& journal, size_t mark);
 
-/// \brief A private per-run plan store that survives stats-epoch churn.
-///
-/// The global plan cache keys by (pattern fingerprint, stats epoch), so
-/// a rule fixpoint — which mutates the instance every round — misses it
-/// every round by design. A PlanPin gives one engine run a handful of
-/// slots keyed by pattern + seed item only: a pinned plan is reused
-/// across epochs. That is sound because a plan only fixes the node
-/// elimination order and anchor choices; every constraint is re-checked
-/// against the live instance during enumeration, so a statistically
-/// stale plan can cost time but never correctness. Opaque; create with
-/// MakePlanPin() and pass via MatchOptions::plan_pin. Not thread-safe
-/// across concurrent Matcher calls (the rule engine runs matchers
-/// sequentially; parallelism lives inside one call).
-class PlanPin;
-
-/// A fresh, empty plan pin.
-std::shared_ptr<PlanPin> MakePlanPin();
-
 /// \brief Join-order planning mode.
 enum class PlannerMode {
   /// Order pattern nodes greedily by estimated candidate-set size from
@@ -258,13 +239,13 @@ struct MatchOptions {
   size_t limit = static_cast<size_t>(-1);
   /// When non-null, enumeration counters are accumulated (+=) here.
   MatchStats* stats = nullptr;
-  /// Worker threads for FindAll()/Count() enumeration; 0 preserves the
-  /// fully serial engine. Parallel enumeration partitions the depth-0
-  /// candidate list into chunks and merges per-chunk results in chunk
-  /// order, so the matching sequence (and all stats except
-  /// workers_used) is identical to the serial matcher's. Enumerations
-  /// with a limit, callbacks (ForEach), and Exists() always run
-  /// serially.
+  /// Worker threads for FindAllChecked()/CountChecked() enumeration; 0
+  /// preserves the fully serial engine. Parallel enumeration partitions
+  /// the depth-0 candidate list into chunks and merges per-chunk
+  /// results in chunk order, so the matching sequence (and all stats
+  /// except workers_used) is identical to the serial matcher's.
+  /// Enumerations with a limit, callbacks (ForEachChecked), and
+  /// ExistsChecked() always run serially.
   size_t num_threads = 0;
   /// Minimum depth-0 candidate count before parallelism engages; below
   /// it the serial engine runs even when num_threads > 0. Set to 0 to
@@ -301,10 +282,6 @@ struct MatchOptions {
   /// pattern's sole matching predates any delta, so it yields zero
   /// matchings here. The DeltaSet must be Finalize()d.
   const DeltaSet* delta = nullptr;
-  /// Per-run pinned-plan store (not owned); see PlanPin. Consulted
-  /// before the global cache for full plans and is the only reuse path
-  /// for delta-seeded plans.
-  PlanPin* plan_pin = nullptr;
 };
 
 /// \brief Enumerates matchings of `pattern` in `instance`.
@@ -328,59 +305,36 @@ class Matcher {
           MatchOptions options = {})
       : pattern_(pattern), instance_(instance), options_(options) {}
 
-  /// Invokes `callback` once per matching; enumeration stops early when
-  /// the callback returns false or the limit is hit. Returns the number
-  /// of matchings visited. Always serial (callbacks observe the exact
-  /// serial emission order and may abort). With a deadline configured,
-  /// an interrupted enumeration simply stops early — use
-  /// ForEachChecked() to observe the interrupt status.
-  size_t ForEach(const std::function<bool(const Matching&)>& callback) const;
+  // Every entry point reports interrupts: when MatchOptions::deadline
+  // expires or its cancel token fires, it stops promptly and surfaces
+  // kDeadlineExceeded / kCancelled instead of a partial result. Without
+  // a configured deadline it never fails.
 
-  /// Materializes all matchings. With MatchOptions::num_threads > 0 and
-  /// a large enough depth-0 candidate list, enumeration runs on a
-  /// worker pool; the returned sequence is identical to the serial
-  /// matcher's. With a deadline configured, an interrupted enumeration
-  /// returns empty — use FindAllChecked() to tell "no matchings" from
-  /// "cut off".
-  std::vector<Matching> FindAll() const;
-
-  /// Counts matchings without materializing them. Parallelizes under
-  /// the same conditions as FindAll(). Returns 0 on interrupt — use
-  /// CountChecked() to observe the status.
-  size_t Count() const;
-
-  // ---- Deadline-aware entry points ----------------------------------------
-  //
-  // Identical to their unchecked namesakes on success; when
-  // MatchOptions::deadline expires or its cancel token fires, they stop
-  // promptly and surface kDeadlineExceeded / kCancelled instead of a
-  // partial result. Without a configured deadline they never fail.
-
-  /// All matchings, or the interrupt status. Parallel runs abort all
-  /// workers promptly via a shared trip flag.
+  /// All matchings. With MatchOptions::num_threads > 0 and a large
+  /// enough depth-0 candidate list, enumeration runs on a worker pool;
+  /// the returned sequence is identical to the serial matcher's.
+  /// Parallel runs abort all workers promptly via a shared trip flag.
   Result<std::vector<Matching>> FindAllChecked() const;
 
-  /// The matching count, or the interrupt status.
+  /// Counts matchings without materializing them. Parallelizes under
+  /// the same conditions as FindAllChecked().
   Result<size_t> CountChecked() const;
 
-  /// Serial callback enumeration. On interrupt, returns the status
-  /// after `callback` has observed a prefix of the matchings; when
-  /// `visited` is non-null it receives the number of matchings visited
-  /// (also on the interrupt path).
+  /// Invokes `callback` once per matching; enumeration stops early when
+  /// the callback returns false or the limit is hit. Always serial
+  /// (callbacks observe the exact serial emission order and may abort).
+  /// On interrupt, returns the status after `callback` has observed a
+  /// prefix of the matchings; when `visited` is non-null it receives
+  /// the number of matchings visited (also on the interrupt path).
   Status ForEachChecked(const std::function<bool(const Matching&)>& callback,
                         size_t* visited = nullptr) const;
 
-  /// True iff at least one matching exists, or the interrupt status —
+  /// True iff at least one matching exists. An interrupt is an error —
   /// a timed-out existence check must NOT read as "no match" (negation
   /// filters would treat it as a definitive negative). Honors the
   /// caller's MatchOptions (stats still accumulate; a limit of 0 means
   /// no matching can be observed, so the result is false).
   Result<bool> ExistsChecked() const;
-
-  /// Unchecked convenience wrapper around ExistsChecked(): interrupts
-  /// (deadline expiry, cancellation) read as false. Only use where no
-  /// deadline is configured or a false negative is acceptable.
-  bool Exists() const;
 
  private:
   const Pattern& pattern_;
@@ -405,7 +359,8 @@ PlanCacheInfo GlobalPlanCacheInfo();
 /// requires it (stale epochs simply age out of the LRU).
 void ResetGlobalPlanCache();
 
-/// Convenience wrapper: all matchings of `pattern` in `instance`.
+/// Convenience wrapper: all matchings of `pattern` in `instance`. No
+/// deadline is involved, so it cannot be interrupted.
 std::vector<Matching> FindMatchings(const Pattern& pattern,
                                     const graph::Instance& instance);
 

@@ -1,7 +1,6 @@
 #include "rules/rules.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "graph/undo_journal.h"
@@ -66,8 +65,8 @@ bool HasNegation(const macros::NegatedPattern& condition) {
 Status RuleEngine::ApplyRule(const Rule& rule, Scheme* scheme,
                              Instance* instance,
                              const pattern::DeltaSet* delta,
-                             pattern::PlanPin* pin, size_t window_start,
-                             RunReport* report, size_t* enumerated) const {
+                             size_t window_start, RunReport* report,
+                             size_t* enumerated) const {
   GOOD_ASSIGN_OR_RETURN(pattern::Pattern positive,
                         rule.condition.PositivePart());
   ops::MatchFilter filter;
@@ -89,7 +88,6 @@ Status RuleEngine::ApplyRule(const Rule& rule, Scheme* scheme,
     na.set_num_threads(num_threads_);
     na.set_parallel_threshold(parallel_threshold_);
     na.set_delta(delta);
-    na.set_plan_pin(pin);
     ops::ApplyStats stats;
     GOOD_RETURN_NOT_OK(na.Apply(scheme, instance, &stats, deadline_));
     report->nodes_added += stats.nodes_added;
@@ -113,7 +111,6 @@ Status RuleEngine::ApplyRule(const Rule& rule, Scheme* scheme,
     ea.set_num_threads(num_threads_);
     ea.set_parallel_threshold(parallel_threshold_);
     ea.set_delta(ea_delta);
-    ea.set_plan_pin(pin);
     ops::ApplyStats stats;
     GOOD_RETURN_NOT_OK(ea.Apply(scheme, instance, &stats, deadline_));
     report->edges_added += stats.edges_added;
@@ -123,8 +120,7 @@ Status RuleEngine::ApplyRule(const Rule& rule, Scheme* scheme,
   return Status::OK();
 }
 
-Result<RunReport> RuleEngine::StepWithPin(Scheme* scheme, Instance* instance,
-                                          pattern::PlanPin* pin) {
+Result<RunReport> RuleEngine::Step(Scheme* scheme, Instance* instance) {
   if (deadline_ != nullptr) GOOD_RETURN_NOT_OK(deadline_->Check());
   RunReport report;
   report.rounds = 1;
@@ -134,16 +130,12 @@ Result<RunReport> RuleEngine::StepWithPin(Scheme* scheme, Instance* instance,
   ops::Transaction txn(scheme, instance);
   for (const Rule& rule : rules_) {
     GOOD_RETURN_NOT_OK(ApplyRule(rule, scheme, instance, /*delta=*/nullptr,
-                                 pin, /*window_start=*/0, &report,
+                                 /*window_start=*/0, &report,
                                  /*enumerated=*/nullptr));
   }
   report.workers_used = report.match.workers_used;
   txn.Commit();
   return report;
-}
-
-Result<RunReport> RuleEngine::Step(Scheme* scheme, Instance* instance) {
-  return StepWithPin(scheme, instance, /*pin=*/nullptr);
 }
 
 Result<RunReport> RuleEngine::Run(Scheme* scheme, Instance* instance,
@@ -153,13 +145,10 @@ Result<RunReport> RuleEngine::Run(Scheme* scheme, Instance* instance,
   // set is trivially at fixpoint, even with max_rounds == 0 — only rule
   // sets that still need a round can exhaust the budget.
   if (rules_.empty()) return total;
-  std::shared_ptr<pattern::PlanPin> pin_holder =
-      plan_pinning_ ? pattern::MakePlanPin() : nullptr;
-  pattern::PlanPin* pin = pin_holder.get();
 
   if (eval_mode_ == EvalMode::kNaive) {
     for (size_t round = 0; round < max_rounds; ++round) {
-      GOOD_ASSIGN_OR_RETURN(RunReport step, StepWithPin(scheme, instance, pin));
+      GOOD_ASSIGN_OR_RETURN(RunReport step, Step(scheme, instance));
       total.rounds += step.rounds;
       total.nodes_added += step.nodes_added;
       total.edges_added += step.edges_added;
@@ -232,8 +221,8 @@ Result<RunReport> RuleEngine::Run(Scheme* scheme, Instance* instance,
           }
         }
         size_t enumerated = 0;
-        failure = ApplyRule(rule, scheme, instance, delta_ptr, pin,
-                            watermark[r], &step, &enumerated);
+        failure = ApplyRule(rule, scheme, instance, delta_ptr, watermark[r],
+                            &step, &enumerated);
         if (!failure.ok()) break;
         if (delta_ptr != nullptr) {
           any_delta_eval = true;

@@ -71,8 +71,7 @@ struct RunReport {
   size_t workers_used = 0;
   /// Accumulated matcher search-effort counters over every rule
   /// evaluation of the run (candidates scanned, feasibility rejections,
-  /// backtracks, per-depth fanout, delta rejections, plan-cache/pin
-  /// hits).
+  /// backtracks, per-depth fanout, delta rejections, plan-cache hits).
   pattern::MatchStats match;
   /// Rounds in which at least one rule was evaluated delta-seeded or
   /// skipped outright on an empty delta. Under kNaive always zero;
@@ -135,15 +134,6 @@ class RuleEngine {
   }
   double delta_fallback_fraction() const { return delta_fallback_fraction_; }
 
-  /// Whether Run pins compiled search plans for its duration (on by
-  /// default). Every round bumps the instance stats epoch, so the
-  /// global (fingerprint, epoch)-keyed plan cache misses on every
-  /// round of a fixpoint; the per-run pin reuses each condition's plan
-  /// across rounds instead. Off = always consult the global cache
-  /// (useful for measuring the churn).
-  void set_plan_pinning(bool pin) { plan_pinning_ = pin; }
-  bool plan_pinning() const { return plan_pinning_; }
-
   /// Execution cutoff (not owned; may be null). Checked before every
   /// round and threaded into every rule's pattern matching, so a
   /// runaway fixpoint computation surfaces kDeadlineExceeded /
@@ -178,14 +168,8 @@ class RuleEngine {
   /// accrues the matchings both actions enumerated.
   Status ApplyRule(const Rule& rule, schema::Scheme* scheme,
                    graph::Instance* instance, const pattern::DeltaSet* delta,
-                   pattern::PlanPin* pin, size_t window_start,
-                   RunReport* report, size_t* enumerated) const;
-
-  /// One full (naive) round under its own transaction, with an
-  /// optional per-run plan pin. Step() is this with no pin.
-  Result<RunReport> StepWithPin(schema::Scheme* scheme,
-                                graph::Instance* instance,
-                                pattern::PlanPin* pin);
+                   size_t window_start, RunReport* report,
+                   size_t* enumerated) const;
 
   std::vector<Rule> rules_;
   size_t num_threads_ = 0;
@@ -193,7 +177,6 @@ class RuleEngine {
   const common::Deadline* deadline_ = nullptr;
   EvalMode eval_mode_ = EvalMode::kIncremental;
   double delta_fallback_fraction_ = pattern::kDefaultDeltaFallbackFraction;
-  bool plan_pinning_ = true;
 };
 
 }  // namespace good::rules

@@ -166,7 +166,12 @@ Result<Client::CommitAck> Client::Commit() {
     // The server discarded the transaction and re-pinned a fresh
     // snapshot; replay the buffered bodies against it and try again.
     std::chrono::microseconds delay = backoff.NextDelay();
-    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+    if (delay.count() > 0) {
+      std::this_thread::sleep_for(delay);
+      // Commits that landed during the sleep postdate that pin, and a
+      // replay onto it would conflict with them again: re-pin first.
+      GOOD_RETURN_NOT_OK(Refresh().status());
+    }
     for (const std::string& ops_text : txn_bodies_) {
       GOOD_ASSIGN_OR_RETURN(ServerReply exec_reply,
                             RoundTrip("exec", &ops_text));

@@ -15,7 +15,9 @@
 /// transient kUnavailable), the server has already discarded the
 /// transaction and re-pinned a fresh snapshot, so the client replays
 /// the buffered bodies against the new snapshot and commits again, up
-/// to ClientOptions::max_commit_retries times. Non-retriable failures
+/// to ClientOptions::max_commit_retries times. After a nonzero backoff
+/// sleep it first sends `refresh`, so the replay also sees the commits
+/// that landed while it slept. Non-retriable failures
 /// (kDeadlineExceeded, validation errors) surface immediately.
 
 #ifndef GOOD_SERVER_CLIENT_H_

@@ -86,7 +86,6 @@ std::string RecoveryReport::ToString() const {
     out += ", truncated " + std::to_string(bytes_truncated) + " B";
   }
   if (used_previous_snapshot) out += ", from previous snapshot";
-  if (migrated_legacy_snapshot) out += ", migrated legacy snapshot";
   if (partitions_quarantined > 0) {
     out += ", " + std::to_string(partitions_quarantined) +
            " partition(s) quarantined";
@@ -107,14 +106,6 @@ std::string Database::ManifestPath(const std::string& dir) {
 
 std::string Database::PreviousManifestPath(const std::string& dir) {
   return dir + "/manifest.prev";
-}
-
-std::string Database::SnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.good";
-}
-
-std::string Database::PreviousSnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.prev";
 }
 
 std::string Database::WalPath(const std::string& dir) {
@@ -148,15 +139,25 @@ Result<Database> Database::Open(const std::string& dir,
   FileEnv* env = db.options_.env;
   const bool degraded =
       db.options_.salvage_mode == SalvageMode::kReadOnlyDegraded;
+  const bool has_manifest = env->FileExists(ManifestPath(dir)) ||
+                            env->FileExists(PreviousManifestPath(dir));
+  if (!has_manifest) {
+    // The pre-partitioning monolithic layout is no longer read. Refuse
+    // before touching anything rather than bootstrap an empty database
+    // beside the old snapshot; an older release can still migrate it.
+    for (const char* name : {"/snapshot.good", "/snapshot.prev"}) {
+      if (env->FileExists(dir + name)) {
+        return Status::FailedPrecondition(
+            dir + name + " is a legacy monolithic snapshot, which " +
+            "this version no longer reads");
+      }
+    }
+  }
   if (!degraded) {
     // A degraded open must not mutate anything — not even mkdir.
     GOOD_RETURN_NOT_OK(env->CreateDirs(dir));
   }
-  const bool has_manifest = env->FileExists(ManifestPath(dir)) ||
-                            env->FileExists(PreviousManifestPath(dir));
-  const bool has_legacy = env->FileExists(SnapshotPath(dir)) ||
-                          env->FileExists(PreviousSnapshotPath(dir));
-  if (has_manifest || has_legacy) {
+  if (has_manifest) {
     db.recovery_.degraded = degraded;
     GOOD_RETURN_NOT_OK(db.LoadSnapshot());
     uint64_t valid_bytes = 0;
@@ -164,16 +165,6 @@ Result<Database> Database::Open(const std::string& dir,
     if (!degraded) {
       GOOD_RETURN_NOT_OK(db.SyncPartitionQuarantineSidecar());
       GOOD_RETURN_NOT_OK(db.OpenWalForAppend(valid_bytes));
-      if (!db.have_manifest_) {
-        // Legacy monolithic layout: the recovered state is checkpointed
-        // into the partitioned layout right away; the now-stale legacy
-        // snapshot files are swept by the checkpoint's GC. A crash
-        // anywhere in between re-runs the migration on the next open
-        // (before the manifest commits) or is covered by the ordinary
-        // sequence-number skip (after it).
-        GOOD_RETURN_NOT_OK(db.Checkpoint());
-        db.recovery_.migrated_legacy_snapshot = true;
-      }
     }
   } else {
     if (degraded) {
@@ -230,35 +221,6 @@ Status Database::LoadManifestFile(const std::string& path) {
   return Status::OK();
 }
 
-Status Database::LoadSnapshotFile(const std::string& path) {
-  GOOD_ASSIGN_OR_RETURN(std::string bytes,
-                        options_.env->ReadFileToString(path));
-  auto contents = ReadLogRecords(bytes);
-  if (!contents.ok()) {
-    return Status::DataLoss("snapshot " + path +
-                            " is corrupt: " + contents.status().message());
-  }
-  if (contents->records.size() != 1 || contents->dropped_torn_tail ||
-      contents->valid_bytes != bytes.size()) {
-    return Status::DataLoss("snapshot " + path +
-                            " is damaged (expected exactly one intact "
-                            "record)");
-  }
-  std::string_view payload = contents->records[0];
-  auto seq = ConsumeFixed64(&payload);
-  if (!seq.ok()) {
-    return Status::DataLoss("snapshot " + path + " has no sequence number");
-  }
-  auto parsed = program::ParseDatabase(std::string(payload));
-  if (!parsed.ok()) {
-    return Status::DataLoss("snapshot " + path + " does not parse: " +
-                            parsed.status().ToString());
-  }
-  db_ = std::move(*parsed);
-  next_seq_ = *seq;
-  return Status::OK();
-}
-
 Status Database::LoadSnapshot() {
   FileEnv* env = options_.env;
   const std::string man = ManifestPath(dir_);
@@ -292,42 +254,11 @@ Status Database::LoadSnapshot() {
     }
     return loaded;  // both damaged: surface the primary failure
   }
-  if (env->FileExists(man_prev)) {
-    // No current manifest but a previous one: our own checkpoint crash
-    // window (between the two manifest renames). The untruncated log
-    // still holds everything since the previous checkpoint, so this
-    // recovers fully — in every mode, strict included.
-    GOOD_RETURN_NOT_OK(LoadManifestFile(man_prev));
-    recovery_.used_previous_snapshot = true;
-    return Status::OK();
-  }
-
-  // No manifest at all: the legacy monolithic layout. Loaded once here;
-  // Open's first checkpoint migrates it to the partitioned layout.
-  const std::string snap = SnapshotPath(dir_);
-  const std::string prev = PreviousSnapshotPath(dir_);
-  if (env->FileExists(snap)) {
-    Status loaded = LoadSnapshotFile(snap);
-    if (loaded.ok()) return loaded;
-    if (options_.salvage_mode == SalvageMode::kStrict) return loaded;
-    // Salvage modes: the current snapshot is damaged — fall back to the
-    // one the last checkpoint displaced. Operations checkpointed into
-    // the damaged snapshot and truncated out of the log are gone; the
-    // sequence-number check in replay keeps us from papering over that
-    // hole with misordered operations.
-    if (env->FileExists(prev)) {
-      Status fallback = LoadSnapshotFile(prev);
-      if (fallback.ok()) {
-        recovery_.used_previous_snapshot = true;
-        recovery_.salvaged = true;
-        return fallback;
-      }
-    }
-    return loaded;  // both damaged: surface the primary failure
-  }
-  // No current snapshot but a previous one: the legacy layout's own
-  // checkpoint crash window; recovers fully in every mode.
-  GOOD_RETURN_NOT_OK(LoadSnapshotFile(prev));
+  // No current manifest but a previous one: our own checkpoint crash
+  // window (between the two manifest renames). The untruncated log
+  // still holds everything since the previous checkpoint, so this
+  // recovers fully — in every mode, strict included.
+  GOOD_RETURN_NOT_OK(LoadManifestFile(man_prev));
   recovery_.used_previous_snapshot = true;
   return Status::OK();
 }
@@ -894,9 +825,9 @@ Status Database::Checkpoint(CheckpointStats* stats) {
   log_ops_ = 0;
   ops_since_checkpoint_ = 0;
 
-  // Best-effort sweep of files neither manifest references (including
-  // a migrated legacy snapshot). Failures are ignored: the sweep is
-  // idempotent and the next checkpoint retries it.
+  // Best-effort sweep of files neither manifest references. Failures
+  // are ignored: the sweep is idempotent and the next checkpoint
+  // retries it.
   RemoveUnreferencedFiles();
   if (stats != nullptr) *stats = local;
   return Status::OK();
@@ -931,12 +862,6 @@ void Database::RemoveUnreferencedFiles() {
         name.ends_with(".good");
     if (!checkpoint_file || referenced.count(name) > 0) continue;
     (void)env->RemoveFile(dir_ + "/" + name);
-  }
-  // A committed manifest supersedes the legacy monolithic snapshot.
-  for (const std::string& legacy :
-       {SnapshotPath(dir_), PreviousSnapshotPath(dir_),
-        dir_ + "/snapshot.tmp"}) {
-    if (env->FileExists(legacy)) (void)env->RemoveFile(legacy);
   }
 }
 

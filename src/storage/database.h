@@ -136,8 +136,8 @@ struct RecoveryReport {
   /// Bytes of log tail cut off (torn tail, or everything past the
   /// salvageable prefix in kSalvage mode).
   uint64_t bytes_truncated = 0;
-  /// True iff recovery based itself on snapshot.prev because the
-  /// current snapshot was missing or (salvage modes) damaged.
+  /// True iff recovery based itself on manifest.prev because the
+  /// current manifest was missing or (salvage modes) damaged.
   bool used_previous_snapshot = false;
   /// True iff the salvage scanner had to engage (non-strict mode and
   /// real damage found).
@@ -146,7 +146,7 @@ struct RecoveryReport {
   bool degraded = false;
   /// Details of the salvage scan when `salvaged` is true.
   SalvageReport salvage;
-  /// Per-partition load outcomes (empty for fresh/legacy databases).
+  /// Per-partition load outcomes (empty for fresh databases).
   std::vector<PartitionLoadResult> partitions;
   /// Partitions quarantined by this open.
   size_t partitions_quarantined = 0;
@@ -158,9 +158,6 @@ struct RecoveryReport {
   /// writable for healthy classes; reads/writes touching a quarantined
   /// class draw typed kUnavailable (see Database::CheckClassAvailable).
   bool partial_degraded = false;
-  /// True iff this open found a legacy monolithic snapshot and
-  /// migrated it to the partitioned layout.
-  bool migrated_legacy_snapshot = false;
 
   /// One-line human summary for logs.
   std::string ToString() const;
@@ -192,7 +189,9 @@ class Database {
   /// Opens the database in `dir`, creating it from `initial` when no
   /// snapshot exists yet (on later opens `initial` is ignored — the
   /// recovered state wins). Fails with kDataLoss when the persisted
-  /// state is damaged beyond what Options::salvage_mode tolerates.
+  /// state is damaged beyond what Options::salvage_mode tolerates, and
+  /// with kFailedPrecondition, touching nothing, when `dir` holds a
+  /// legacy monolithic snapshot.good/snapshot.prev but no manifest.
   static Result<Database> Open(const std::string& dir,
                                program::Database initial,
                                Options options = {});
@@ -299,11 +298,6 @@ class Database {
   static std::string ManifestPath(const std::string& dir);
   /// The displaced previous manifest, kept as the salvage fallback.
   static std::string PreviousManifestPath(const std::string& dir);
-  /// Legacy monolithic snapshot (pre-partitioning layout); read once
-  /// for transparent migration, never written again.
-  static std::string SnapshotPath(const std::string& dir);
-  /// The legacy pre-checkpoint snapshot fallback.
-  static std::string PreviousSnapshotPath(const std::string& dir);
   static std::string WalPath(const std::string& dir);
   /// Sidecar holding the byte ranges a salvaging Open dropped.
   static std::string QuarantinePath(const std::string& dir);
@@ -316,14 +310,11 @@ class Database {
   /// Loads the committed checkpoint: manifest.good, falling back to
   /// manifest.prev when the current one is missing (all modes — that
   /// is our own checkpoint crash window) or damaged (salvage modes
-  /// only). Directories without a manifest fall back to the legacy
-  /// monolithic snapshot chain and are flagged for migration.
+  /// only). Open calls it only when one of the two exists.
   Status LoadSnapshot();
   /// Decodes and loads one manifest file into db_/next_seq_/manifest_.
   /// Partition damage quarantines (salvage modes) or fails (strict).
   Status LoadManifestFile(const std::string& path);
-  /// Parses one legacy monolithic snapshot file into db_/next_seq_.
-  Status LoadSnapshotFile(const std::string& path);
   /// Replays the log tail over the snapshot state; reports the byte
   /// offset appends must resume from (torn tails are cut off there).
   /// Dispatches to the strict or salvaging variant per salvage_mode.
@@ -356,7 +347,7 @@ class Database {
   Status WriteFileWithRetry(const std::string& name, std::string_view bytes,
                             size_t* retries);
   /// Deletes part-*/scheme-* files referenced by neither manifest.good
-  /// nor manifest.prev, plus stale legacy snapshots. Best-effort.
+  /// nor manifest.prev. Best-effort.
   void RemoveUnreferencedFiles();
   /// Writes or clears the partition-quarantine sidecar to match the
   /// current quarantine set.
@@ -379,8 +370,7 @@ class Database {
   /// Serialized scheme as last persisted, to skip rewriting the scheme
   /// file when it has not changed.
   std::string last_scheme_text_;
-  /// True until the first partitioned checkpoint commits (fresh
-  /// databases and legacy-migration opens).
+  /// True until the first checkpoint of a fresh database commits.
   bool have_manifest_ = false;
   bool poisoned_ = false;
   bool closed_ = false;

@@ -207,7 +207,7 @@ TEST_P(ParallelMatcherDifferentialTest, ParallelSequenceAndStatsMatchSerial) {
   pattern::MatchOptions serial_options;
   serial_options.stats = &serial_stats;
   auto serial =
-      pattern::Matcher(p, g, serial_options).FindAll();
+      pattern::Matcher(p, g, serial_options).FindAllChecked().ValueOrDie();
 
   for (size_t threads : {1u, 2u, 8u}) {
     pattern::MatchStats par_stats;
@@ -217,7 +217,7 @@ TEST_P(ParallelMatcherDifferentialTest, ParallelSequenceAndStatsMatchSerial) {
     options.parallel_threshold = 0;  // Engage parallelism on any input.
     pattern::Matcher matcher(p, g, options);
 
-    auto par = matcher.FindAll();
+    auto par = matcher.FindAllChecked().ValueOrDie();
     ASSERT_EQ(par, serial) << "seed=" << seed << " threads=" << threads;
     EXPECT_EQ(par_stats.candidates_scanned, serial_stats.candidates_scanned)
         << "seed=" << seed << " threads=" << threads;
@@ -233,8 +233,8 @@ TEST_P(ParallelMatcherDifferentialTest, ParallelSequenceAndStatsMatchSerial) {
     EXPECT_GE(par_stats.workers_used, 1u);
     EXPECT_LE(par_stats.workers_used, threads);
 
-    // Count() shares the parallel driver but skips materialization.
-    EXPECT_EQ(matcher.Count(), serial.size())
+    // CountChecked() shares the parallel driver but skips materialization.
+    EXPECT_EQ(matcher.CountChecked().ValueOrDie(), serial.size())
         << "seed=" << seed << " threads=" << threads;
   }
 
@@ -245,7 +245,8 @@ TEST_P(ParallelMatcherDifferentialTest, ParallelSequenceAndStatsMatchSerial) {
   pattern::MatchOptions options;
   options.num_threads = 8;
   options.parallel_threshold = 0;
-  auto empty_matchings = pattern::Matcher(empty, g, options).FindAll();
+  auto empty_matchings =
+      pattern::Matcher(empty, g, options).FindAllChecked().ValueOrDie();
   ASSERT_EQ(empty_matchings.size(), 1u) << "seed=" << seed;
   EXPECT_EQ(empty_matchings[0].size(), 0u);
 }
@@ -298,12 +299,14 @@ TEST_P(PlannerDifferentialTest, CostAndNaivePlansEnumerateTheSameSet) {
   pattern::MatchOptions naive_options;
   naive_options.planner = pattern::PlannerMode::kNaive;
   naive_options.stats = &naive_stats;
-  auto naive = pattern::Matcher(p, g, naive_options).FindAll();
+  auto naive =
+      pattern::Matcher(p, g, naive_options).FindAllChecked().ValueOrDie();
 
   pattern::MatchStats cost_stats;
   pattern::MatchOptions cost_options;
   cost_options.stats = &cost_stats;
-  auto cost = pattern::Matcher(p, g, cost_options).FindAll();
+  auto cost =
+      pattern::Matcher(p, g, cost_options).FindAllChecked().ValueOrDie();
 
   ASSERT_EQ(naive.size(), cost.size()) << "seed=" << seed;
   EXPECT_EQ(keys(naive), keys(cost)) << "seed=" << seed;
@@ -317,7 +320,7 @@ TEST_P(PlannerDifferentialTest, CostAndNaivePlansEnumerateTheSameSet) {
     pattern::MatchOptions options;
     options.num_threads = threads;
     options.parallel_threshold = 0;
-    auto par = pattern::Matcher(p, g, options).FindAll();
+    auto par = pattern::Matcher(p, g, options).FindAllChecked().ValueOrDie();
     ASSERT_EQ(par, cost) << "seed=" << seed << " threads=" << threads;
   }
 }

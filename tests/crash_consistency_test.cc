@@ -578,92 +578,6 @@ TEST(PartitionQuarantineTest, ReplayStopsAtRecordTouchingQuarantinedClass) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash mid-migration: the legacy monolithic layout must survive a
-// crash at every mutating-I/O boundary of its first (migrating) open.
-// ---------------------------------------------------------------------------
-
-/// Writes the pre-partitioning snapshot format (one framed record:
-/// fixed64 next_seq + database text) plus a log tail of `wal_bytes`.
-void WriteLegacyLayout(const std::string& dir, const program::Database& db,
-                       uint64_t seq, const std::string& wal_bytes) {
-  std::string payload;
-  AppendFixed64(&payload, seq);
-  payload += program::WriteDatabase(db);
-  std::string file;
-  AppendRecordTo(&file, payload);
-  OverwriteFile(Database::SnapshotPath(dir), file);
-  if (!wal_bytes.empty()) {
-    OverwriteFile(Database::WalPath(dir), wal_bytes);
-  }
-}
-
-TEST(MigrationCrashTest, EveryCrashPointDuringMigrationRecovers) {
-  // Donor: a WAL holding the figure workload (the log format is
-  // unchanged across the layout switch).
-  const std::string donor = MakeTempDir();
-  program::Database expected = BuildLoggedDatabase(donor);
-  const std::string wal_bytes =
-      FileEnv::Default()
-          ->ReadFileToString(Database::WalPath(donor))
-          .ValueOrDie();
-
-  // Count the migration's mutating-I/O boundaries with a crash-free
-  // probe run.
-  CrashPointEnv env;
-  size_t boundaries = 0;
-  {
-    const std::string probe = MakeTempDir();
-    WriteLegacyLayout(probe, PaperDatabase(), 0, wal_bytes);
-    env.SetSchedule(CrashSchedule{});
-    Options options;
-    options.env = &env;
-    Database db = Database::Open(probe, options).ValueOrDie();
-    EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-    db.Close().OrDie();
-    boundaries = env.ops_seen();
-  }
-  ASSERT_GT(boundaries, 4u);
-
-  size_t crashes = 0;
-  for (CrashMode mode :
-       {CrashMode::kCutBeforeOp, CrashMode::kTornWrite,
-        CrashMode::kLoseUnsynced}) {
-    for (size_t k = 1; k <= boundaries; ++k) {
-      const std::string dir = MakeTempDir();
-      WriteLegacyLayout(dir, PaperDatabase(), 0, wal_bytes);
-      CrashSchedule schedule;
-      schedule.crash_at = k;
-      schedule.mode = mode;
-      env.SetSchedule(schedule);
-      Options options;
-      options.env = &env;
-      options.wal_retry_limit = 0;  // injected faults must not spin
-      auto crashed = Database::Open(dir, options);
-      if (crashed.ok()) continue;  // boundary past this run's I/O count
-      ++crashes;
-
-      // Reboot with a clean env: recovery must land on the full
-      // post-replay state no matter where the migration died — either
-      // by re-running the migration or from the committed manifest
-      // (the replay/skip split varies with how far the crashed open
-      // got, so the invariant is the recovered state itself).
-      Database db = Database::Open(dir).ValueOrDie();
-      ASSERT_TRUE(db.scheme() == expected.scheme)
-          << "mode=" << static_cast<int>(schedule.mode) << " k=" << k;
-      ASSERT_TRUE(graph::IsIsomorphic(db.instance(), expected.instance))
-          << "mode=" << static_cast<int>(schedule.mode) << " k=" << k;
-      ASSERT_TRUE(db.Scrub().clean());
-      db.Close().OrDie();
-    }
-  }
-  // Every schedule whose boundary falls inside the migrating open must
-  // actually crash (later boundaries belong to Close and are skipped).
-  EXPECT_GT(crashes, boundaries / 2) << "too few schedules crashed";
-  std::cout << "[migration-crash] " << crashes << " crashes over "
-            << boundaries << " boundaries x 3 modes\n";
-}
-
-// ---------------------------------------------------------------------------
 // Scrubber
 // ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/deadline.h"
+#include "gen/generators.h"
 #include "graph/instance.h"
 #include "hypermedia/hypermedia.h"
 #include "macro/inheritance.h"
@@ -272,24 +273,21 @@ std::set<std::pair<NodeId, NodeId>> CollectEdges(const Instance& g,
   return out;
 }
 
-TEST_F(MacroTest, Fig28FixpointComputesTransitiveClosure) {
-  const Labels& l = Labels::Get();
-  auto expected = ReferenceClosure(instance_, l.info, l.links_to);
-
-  // Step 1 (Figure 28 top): seed rec-links-to with the direct links.
-  GraphBuilder b1(scheme_);
+/// Figure 28: seeds rec-links-to with the direct links (top), then
+/// extends it along links-to to fixpoint with the starred recursive
+/// edge addition (bottom), evaluated in `mode`.
+Status ApplyFig28Closure(Scheme* scheme, Instance* instance,
+                         ops::EvalMode mode) {
+  GraphBuilder b1(*scheme);
   NodeId x1 = b1.Object("Info");
   NodeId y1 = b1.Object("Info");
   b1.Edge(x1, "links-to", y1);
   ops::EdgeAddition seed(
       b1.BuildOrDie(),
       {ops::EdgeSpec{x1, Sym("rec-links-to"), y1, /*functional=*/false}});
-  ASSERT_TRUE(seed.Apply(&scheme_, &instance_).ok());
+  GOOD_RETURN_NOT_OK(seed.Apply(scheme, instance));
 
-  // Step 2 (Figure 28 bottom, starred): extend along links-to to
-  // fixpoint.
-  Scheme ext = scheme_;  // rec-links-to now exists in the scheme.
-  GraphBuilder b2(ext);
+  GraphBuilder b2(*scheme);  // rec-links-to now exists in the scheme.
   NodeId x2 = b2.Object("Info");
   NodeId y2 = b2.Object("Info");
   NodeId z2 = b2.Object("Info");
@@ -297,10 +295,56 @@ TEST_F(MacroTest, Fig28FixpointComputesTransitiveClosure) {
   RecursiveEdgeAddition star(
       b2.BuildOrDie(),
       {ops::EdgeSpec{x2, Sym("rec-links-to"), z2, /*functional=*/false}});
-  ops::ApplyStats stats;
-  ASSERT_TRUE(star.Apply(&scheme_, &instance_, &stats).ok());
+  star.set_eval_mode(mode);
+  return star.Apply(scheme, instance);
+}
 
+TEST_F(MacroTest, Fig28FixpointComputesTransitiveClosure) {
+  const Labels& l = Labels::Get();
+  auto expected = ReferenceClosure(instance_, l.info, l.links_to);
+  ASSERT_TRUE(
+      ApplyFig28Closure(&scheme_, &instance_, ops::EvalMode::kIncremental)
+          .ok());
   EXPECT_EQ(CollectEdges(instance_, Sym("rec-links-to")), expected);
+}
+
+TEST_F(MacroTest, RecursiveAdditionModesAgreeOnRandomGraphs) {
+  // Naive-vs-incremental differential over seeded random links-to
+  // graphs, self-loops included: both evaluation modes must add the
+  // same edges, and those must be the reference closure.
+  const Labels& l = Labels::Get();
+  size_t graphs_with_loops = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const size_t n = 3 + seed % 10;
+    const Instance start =
+        gen::RandomInfoGraph(scheme_, n, 2 * n, seed,
+                             /*allow_self_loops=*/true)
+            .ValueOrDie();
+    for (const auto& [source, target] : CollectEdges(start, l.links_to)) {
+      if (source == target) {
+        ++graphs_with_loops;
+        break;
+      }
+    }
+    const auto expected = ReferenceClosure(start, l.info, l.links_to);
+    std::set<std::pair<NodeId, NodeId>> naive_edges;
+    for (ops::EvalMode mode :
+         {ops::EvalMode::kNaive, ops::EvalMode::kIncremental}) {
+      Scheme scheme = scheme_;
+      Instance g = start;
+      ASSERT_TRUE(ApplyFig28Closure(&scheme, &g, mode).ok())
+          << "seed=" << seed;
+      auto edges = CollectEdges(g, Sym("rec-links-to"));
+      EXPECT_EQ(edges, expected)
+          << "seed=" << seed << " mode=" << static_cast<int>(mode);
+      if (mode == ops::EvalMode::kNaive) {
+        naive_edges = std::move(edges);
+      } else {
+        EXPECT_EQ(edges, naive_edges) << "seed=" << seed;
+      }
+    }
+  }
+  EXPECT_GT(graphs_with_loops, 0u);
 }
 
 TEST_F(MacroTest, Fig29MethodTranslationAgreesWithFixpoint) {

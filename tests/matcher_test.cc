@@ -229,14 +229,14 @@ TEST(MatcherTest, ExistsRespectsCallerOptions) {
   b.Object("N");
   Pattern p = b.BuildOrDie();
   // A caller-set limit of 0 admits no matchings at all.
-  EXPECT_FALSE(Matcher(p, g, MatchOptions{0}).Exists());
+  EXPECT_FALSE(Matcher(p, g, MatchOptions{0}).ExistsChecked().ValueOrDie());
   // Any positive limit is clamped to one probe; stats still flow to the
   // caller's sink.
   MatchStats stats;
   MatchOptions options;
   options.limit = 7;
   options.stats = &stats;
-  EXPECT_TRUE(Matcher(p, g, options).Exists());
+  EXPECT_TRUE(Matcher(p, g, options).ExistsChecked().ValueOrDie());
   EXPECT_EQ(stats.matchings, 1u);
   EXPECT_GE(stats.candidates_scanned, 1u);
 }
@@ -253,7 +253,7 @@ TEST(MatcherTest, StatsCountSearchEffort) {
   MatchStats stats;
   MatchOptions options;
   options.stats = &stats;
-  EXPECT_EQ(Matcher(p, g, options).Count(), 3u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 3u);
   EXPECT_EQ(stats.matchings, 3u);
   ASSERT_EQ(stats.depth_fanout.size(), 3u);
   // The root ranges over all five N nodes; anchored depths only place
@@ -262,7 +262,7 @@ TEST(MatcherTest, StatsCountSearchEffort) {
   EXPECT_GE(stats.candidates_scanned, 5u);
   EXPECT_GT(stats.backtracks, 0u);  // Chain tails fail to extend.
   // Accumulation: a second run doubles the counters.
-  EXPECT_EQ(Matcher(p, g, options).Count(), 3u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 3u);
   EXPECT_EQ(stats.matchings, 6u);
   EXPECT_EQ(stats.depth_fanout[0], 10u);
   EXPECT_FALSE(stats.ToString().empty());
@@ -295,9 +295,9 @@ TEST(MatcherTest, LimitStopsEnumeration) {
   b.Object("N");
   Pattern p = b.BuildOrDie();
   Matcher limited(p, g, MatchOptions{3});
-  EXPECT_EQ(limited.Count(), 3u);
+  EXPECT_EQ(limited.CountChecked().ValueOrDie(), 3u);
   Matcher m(p, g);
-  EXPECT_TRUE(m.Exists());
+  EXPECT_TRUE(m.ExistsChecked().ValueOrDie());
 }
 
 TEST(MatcherTest, CallbackCanAbort) {
@@ -307,10 +307,12 @@ TEST(MatcherTest, CallbackCanAbort) {
   b.Object("N");
   Pattern p = b.BuildOrDie();
   size_t seen = 0;
-  Matcher(p, g).ForEach([&](const Matching&) {
-    ++seen;
-    return seen < 2;
-  });
+  ASSERT_TRUE(Matcher(p, g)
+                  .ForEachChecked([&](const Matching&) {
+                    ++seen;
+                    return seen < 2;
+                  })
+                  .ok());
   EXPECT_EQ(seen, 2u);
 }
 
@@ -433,8 +435,6 @@ TEST(MatcherTest, ExistsCheckedSurfacesExpiredDeadline) {
   Result<bool> result = Matcher(p, g, options).ExistsChecked();
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
-  // The unchecked wrapper degrades to false — never to "matched".
-  EXPECT_FALSE(Matcher(p, g, options).Exists());
 }
 
 TEST(MatcherTest, ExistsCheckedSurfacesCancellation) {
@@ -523,7 +523,7 @@ TEST(PlannerTest, CostPlannerOrdersNodesBySelectivity) {
   MatchOptions cost;
   cost.stats = &cost_stats;
   cost.use_plan_cache = false;
-  auto cost_found = Matcher(p, g, cost).FindAll();
+  auto cost_found = Matcher(p, g, cost).FindAllChecked().ValueOrDie();
   ASSERT_EQ(cost_stats.plan_order.size(), 3u);
   EXPECT_EQ(cost_stats.plan_order[0], x.id);
   EXPECT_EQ(cost_stats.plan_order[1], z.id);
@@ -536,7 +536,7 @@ TEST(PlannerTest, CostPlannerOrdersNodesBySelectivity) {
   MatchOptions naive;
   naive.stats = &naive_stats;
   naive.planner = PlannerMode::kNaive;
-  auto naive_found = Matcher(p, g, naive).FindAll();
+  auto naive_found = Matcher(p, g, naive).FindAllChecked().ValueOrDie();
   ASSERT_EQ(naive_stats.plan_order.size(), 3u);
   EXPECT_EQ(naive_stats.plan_order[0], x.id);
   EXPECT_EQ(naive_stats.plan_order[1], y.id);
@@ -577,13 +577,13 @@ TEST(PlannerTest, CostPlannerPicksCheapAnchorDirection) {
   MatchOptions cost;
   cost.stats = &cost_stats;
   cost.use_plan_cache = false;
-  auto cost_found = Matcher(p, g, cost).FindAll();
+  auto cost_found = Matcher(p, g, cost).FindAllChecked().ValueOrDie();
 
   MatchStats naive_stats;
   MatchOptions naive;
   naive.stats = &naive_stats;
   naive.planner = PlannerMode::kNaive;
-  auto naive_found = Matcher(p, g, naive).FindAll();
+  auto naive_found = Matcher(p, g, naive).FindAllChecked().ValueOrDie();
 
   // Same matchings: (a0, b0, c0) and (a1, b20, c1).
   EXPECT_EQ(cost_found.size(), 2u);
@@ -608,12 +608,12 @@ TEST(PlanCacheTest, HitsMissesAndEpochInvalidation) {
   MatchOptions options;
   options.stats = &stats;
 
-  EXPECT_EQ(Matcher(p, g, options).Count(), 5u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 5u);
   EXPECT_EQ(stats.plan_cache_misses, 1u);
   EXPECT_EQ(stats.plan_cache_hits, 0u);
 
   // Same pattern, unchanged instance: the compiled plan is reused.
-  EXPECT_EQ(Matcher(p, g, options).Count(), 5u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 5u);
   EXPECT_EQ(stats.plan_cache_misses, 1u);
   EXPECT_EQ(stats.plan_cache_hits, 1u);
 
@@ -621,7 +621,7 @@ TEST(PlanCacheTest, HitsMissesAndEpochInvalidation) {
   // applies — a replan (miss) is observable through the stats.
   NodeId extra = *g.AddObjectNode(s, Sym("N"));
   (void)extra;
-  EXPECT_EQ(Matcher(p, g, options).Count(), 5u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 5u);
   EXPECT_EQ(stats.plan_cache_misses, 2u);
   EXPECT_EQ(stats.plan_cache_hits, 1u);
 
@@ -644,10 +644,10 @@ TEST(PlanCacheTest, OptOutAndNaivePlansAreNotCached) {
   MatchOptions options;
   options.stats = &stats;
   options.use_plan_cache = false;
-  EXPECT_EQ(Matcher(p, g, options).Count(), 4u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 4u);
   options.use_plan_cache = true;
   options.planner = PlannerMode::kNaive;
-  EXPECT_EQ(Matcher(p, g, options).Count(), 4u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 4u);
   EXPECT_EQ(stats.plan_cache_hits, 0u);
   EXPECT_EQ(stats.plan_cache_misses, 0u);
   PlanCacheInfo info = GlobalPlanCacheInfo();
@@ -669,11 +669,11 @@ TEST(PlanCacheTest, UnmutatedCopySharesCachedPlan) {
   MatchStats stats;
   MatchOptions options;
   options.stats = &stats;
-  EXPECT_EQ(Matcher(p, g, options).Count(), 5u);
+  EXPECT_EQ(Matcher(p, g, options).CountChecked().ValueOrDie(), 5u);
   // A snapshot copy shares the epoch, so the plan carries over — this
   // is what lets server sessions' working copies skip replanning.
   Instance copy = g;
-  EXPECT_EQ(Matcher(p, copy, options).Count(), 5u);
+  EXPECT_EQ(Matcher(p, copy, options).CountChecked().ValueOrDie(), 5u);
   EXPECT_EQ(stats.plan_cache_misses, 1u);
   EXPECT_EQ(stats.plan_cache_hits, 1u);
 }
@@ -683,9 +683,10 @@ TEST(PlanCacheTest, UnmutatedCopySharesCachedPlan) {
 // ---------------------------------------------------------------------------
 
 /// The semi-naive partition contract: with MatchOptions::delta set to
-/// the journal window of a batch of mutations, FindAll returns exactly
-/// the matchings that exist after the batch but did not exist before it
-/// — and the serial and parallel engines return the identical sequence.
+/// the journal window of a batch of mutations, FindAllChecked returns
+/// exactly the matchings that exist after the batch but did not exist
+/// before it — and the serial and parallel engines return the identical
+/// sequence.
 TEST(DeltaMatchTest, DeltaEnumerationIsExactlyTheNewMatchings) {
   Scheme s = ChainScheme();
   for (int trial = 0; trial < 8; ++trial) {
@@ -709,7 +710,7 @@ TEST(DeltaMatchTest, DeltaEnumerationIsExactlyTheNewMatchings) {
     b.Edge(x, "next", y).Edge(y, "next", z);
     Pattern p = b.BuildOrDie();
 
-    auto before = Matcher(p, g).FindAll();
+    auto before = Matcher(p, g).FindAllChecked().ValueOrDie();
 
     // Journaled growth: two fresh nodes plus random new edges touching
     // old and new nodes alike.
@@ -727,7 +728,7 @@ TEST(DeltaMatchTest, DeltaEnumerationIsExactlyTheNewMatchings) {
     ASSERT_TRUE(delta.finalized());
     ASSERT_FALSE(delta.empty());
 
-    auto after = Matcher(p, g).FindAll();
+    auto after = Matcher(p, g).FindAllChecked().ValueOrDie();
     std::multiset<std::string> expected;
     std::multiset<std::string> old_keys = MatchingKeys(p, before);
     for (const std::string& k : MatchingKeys(p, after)) {
@@ -738,12 +739,14 @@ TEST(DeltaMatchTest, DeltaEnumerationIsExactlyTheNewMatchings) {
     MatchOptions delta_options;
     delta_options.delta = &delta;
     delta_options.stats = &serial_stats;
-    auto incremental = Matcher(p, g, delta_options).FindAll();
+    auto incremental =
+        Matcher(p, g, delta_options).FindAllChecked().ValueOrDie();
     EXPECT_EQ(MatchingKeys(p, incremental), expected) << "trial=" << trial;
     EXPECT_EQ(incremental.size(), expected.size()) << "trial=" << trial;
 
-    // Count() agrees with FindAll() under delta.
-    EXPECT_EQ(Matcher(p, g, delta_options).Count(), expected.size());
+    // CountChecked() agrees with FindAllChecked() under delta.
+    EXPECT_EQ(Matcher(p, g, delta_options).CountChecked().ValueOrDie(),
+              expected.size());
 
     // Serial and parallel delta enumeration are byte-identical.
     for (size_t threads : {2u, 8u}) {
@@ -751,7 +754,7 @@ TEST(DeltaMatchTest, DeltaEnumerationIsExactlyTheNewMatchings) {
       par_options.delta = &delta;
       par_options.num_threads = threads;
       par_options.parallel_threshold = 0;
-      auto par = Matcher(p, g, par_options).FindAll();
+      auto par = Matcher(p, g, par_options).FindAllChecked().ValueOrDie();
       ASSERT_EQ(par, incremental)
           << "trial=" << trial << " threads=" << threads;
     }
@@ -774,7 +777,7 @@ TEST(DeltaMatchTest, EmptyDeltaAndEmptyPatternYieldNothing) {
   empty_delta.Finalize();
   MatchOptions options;
   options.delta = &empty_delta;
-  EXPECT_TRUE(Matcher(p, g, options).FindAll().empty());
+  EXPECT_TRUE(Matcher(p, g, options).FindAllChecked().ValueOrDie().empty());
 
   // Rolled-back growth nets out of the window entirely.
   graph::UndoJournal journal;
@@ -786,15 +789,18 @@ TEST(DeltaMatchTest, EmptyDeltaAndEmptyPatternYieldNothing) {
   g.DetachJournal();
   EXPECT_TRUE(delta.empty());
   options.delta = &delta;
-  EXPECT_TRUE(Matcher(p, g, options).FindAll().empty());
+  EXPECT_TRUE(Matcher(p, g, options).FindAllChecked().ValueOrDie().empty());
 
   // Empty pattern: full matching has one (empty) matching; the delta
   // partition of that single old matching is empty.
   Pattern empty_pattern;
   MatchOptions delta_options;
   delta_options.delta = &delta;
-  EXPECT_EQ(Matcher(empty_pattern, g).FindAll().size(), 1u);
-  EXPECT_TRUE(Matcher(empty_pattern, g, delta_options).FindAll().empty());
+  EXPECT_EQ(Matcher(empty_pattern, g).FindAllChecked().ValueOrDie().size(), 1u);
+  EXPECT_TRUE(Matcher(empty_pattern, g, delta_options)
+                  .FindAllChecked()
+                  .ValueOrDie()
+                  .empty());
 }
 
 /// Self-loop delta edges seed their own item: adding (a, next, a) must
@@ -806,7 +812,7 @@ TEST(DeltaMatchTest, SelfLoopDeltaEdgeSeedsItsMatching) {
   NodeId m = b.Object("N");
   b.Edge(m, "next", m);
   Pattern p = b.BuildOrDie();
-  ASSERT_TRUE(Matcher(p, g).FindAll().empty());
+  ASSERT_TRUE(Matcher(p, g).FindAllChecked().ValueOrDie().empty());
 
   graph::UndoJournal journal;
   g.AttachJournal(&journal);
@@ -817,7 +823,7 @@ TEST(DeltaMatchTest, SelfLoopDeltaEdgeSeedsItsMatching) {
 
   MatchOptions options;
   options.delta = &delta;
-  auto found = Matcher(p, g, options).FindAll();
+  auto found = Matcher(p, g, options).FindAllChecked().ValueOrDie();
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].At(m), loop);
 }

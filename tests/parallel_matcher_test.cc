@@ -171,14 +171,14 @@ TEST_F(ParallelThresholdTest, SmallInputsStaySerial) {
   MatchOptions options;
   options.stats = &stats;
   options.num_threads = 8;
-  auto serial_sized = Matcher(p, g, options).FindAll();
+  auto serial_sized = Matcher(p, g, options).FindAllChecked().ValueOrDie();
   EXPECT_EQ(stats.workers_used, 1u);
 
   // Forcing the threshold to 0 engages the pool on the same input.
   MatchStats forced_stats;
   options.stats = &forced_stats;
   options.parallel_threshold = 0;
-  auto forced = Matcher(p, g, options).FindAll();
+  auto forced = Matcher(p, g, options).FindAllChecked().ValueOrDie();
   EXPECT_EQ(forced_stats.workers_used, 8u);
   EXPECT_EQ(forced, serial_sized);
 }
@@ -194,7 +194,7 @@ TEST_F(ParallelThresholdTest, DefaultThresholdEngagesOnLargeInputs) {
   MatchOptions options;
   options.stats = &stats;
   options.num_threads = 4;
-  auto par = Matcher(p, g, options).FindAll();
+  auto par = Matcher(p, g, options).FindAllChecked().ValueOrDie();
   EXPECT_EQ(stats.workers_used, 4u);
   EXPECT_EQ(par, FindMatchings(p, g));
 }
@@ -214,8 +214,10 @@ TEST_F(ParallelThresholdTest, CountAgreesWithMaterializeUnderParallelism) {
     options.num_threads = 4;
     options.parallel_threshold = 0;
     Matcher matcher(p, g, options);
-    EXPECT_EQ(matcher.Count(), matcher.FindAll().size()) << "round=" << round;
-    EXPECT_EQ(matcher.FindAll(), FindMatchings(p, g)) << "round=" << round;
+    std::vector<Matching> found = matcher.FindAllChecked().ValueOrDie();
+    EXPECT_EQ(matcher.CountChecked().ValueOrDie(), found.size())
+        << "round=" << round;
+    EXPECT_EQ(found, FindMatchings(p, g)) << "round=" << round;
   }
 }
 
@@ -376,10 +378,6 @@ TEST_F(CancellationTest, PreCancelledTokenShortCircuitsEveryEntryPoint) {
   });
   EXPECT_TRUE(s.IsCancelled());
   EXPECT_EQ(visited, 0u);
-
-  // Legacy (unchecked) APIs degrade to empty results, never partial.
-  EXPECT_TRUE(Matcher(p, g, options).FindAll().empty());
-  EXPECT_EQ(Matcher(p, g, options).Count(), 0u);
 }
 
 TEST_F(CancellationTest, ExpiredDeadlineReportsDeadlineExceeded) {
@@ -413,7 +411,7 @@ TEST(CachedPlanReplayTest, ParallelRunsOverCachedPlansStayDeterministic) {
   MatchStats serial_stats;
   MatchOptions serial_options;
   serial_options.stats = &serial_stats;
-  auto serial = Matcher(p, g, serial_options).FindAll();
+  auto serial = Matcher(p, g, serial_options).FindAllChecked().ValueOrDie();
   EXPECT_EQ(serial_stats.plan_cache_misses, 1u);
   EXPECT_EQ(serial_stats.plan_cache_hits, 0u);
 
@@ -423,7 +421,7 @@ TEST(CachedPlanReplayTest, ParallelRunsOverCachedPlansStayDeterministic) {
     options.stats = &par_stats;
     options.num_threads = threads;
     options.parallel_threshold = 0;
-    auto par = Matcher(p, g, options).FindAll();
+    auto par = Matcher(p, g, options).FindAllChecked().ValueOrDie();
     ASSERT_EQ(par, serial) << "threads=" << threads;
     // Replays hit the cached plan — one acquisition per run, shared by
     // every worker.
@@ -439,8 +437,8 @@ TEST(CachedPlanReplayTest, ParallelRunsOverCachedPlansStayDeterministic) {
   MatchOptions options;
   options.num_threads = 8;
   options.parallel_threshold = 0;
-  auto first = Matcher(p, g, options).FindAll();
-  auto second = Matcher(p, g, options).FindAll();
+  auto first = Matcher(p, g, options).FindAllChecked().ValueOrDie();
+  auto second = Matcher(p, g, options).FindAllChecked().ValueOrDie();
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, serial);
 }
@@ -454,7 +452,7 @@ TEST_F(CancellationTest, UnexpiredDeadlineDoesNotPerturbResults) {
   b.Edge(x, "links-to", y);
   Pattern p = b.BuildOrDie();
 
-  auto bare = Matcher(p, g).FindAll();
+  auto bare = Matcher(p, g).FindAllChecked().ValueOrDie();
   common::Deadline deadline =
       common::Deadline::After(std::chrono::hours(1));
   for (size_t threads : {0u, 4u}) {

@@ -497,43 +497,5 @@ TEST_F(RulesTest, NegationSeesCurrentDatabaseNotDelta) {
   }
 }
 
-TEST_F(RulesTest, PlanPinningStopsFixpointPlanCacheChurn) {
-  // Every round of a fixpoint bumps the instance stats epoch, so the
-  // global (fingerprint, epoch)-keyed plan cache misses on every round.
-  // The per-run plan pin (on by default) compiles each condition once
-  // and reuses it for the whole run.
-  auto start = gen::InfoChain(scheme_, 24).ValueOrDie();
-
-  pattern::ResetGlobalPlanCache();
-  Scheme churn_scheme = scheme_;
-  Instance churn_g = start;
-  RuleEngine churn;
-  AddClosureRules(scheme_, &churn);
-  churn.set_eval_mode(EvalMode::kNaive);
-  churn.set_plan_pinning(false);
-  auto churn_report = churn.Run(&churn_scheme, &churn_g).ValueOrDie();
-  ASSERT_GT(churn_report.rounds, 2u);
-  // The churn: at least one fresh compile per round.
-  EXPECT_GE(churn_report.match.plan_cache_misses, churn_report.rounds);
-  EXPECT_LT(churn_report.match.plan_cache_hits,
-            churn_report.match.plan_cache_misses);
-
-  pattern::ResetGlobalPlanCache();
-  Scheme pin_scheme = scheme_;
-  Instance pin_g = start;
-  RuleEngine pinned;
-  AddClosureRules(scheme_, &pinned);
-  pinned.set_eval_mode(EvalMode::kNaive);
-  ASSERT_TRUE(pinned.plan_pinning());  // the default
-  auto pin_report = pinned.Run(&pin_scheme, &pin_g).ValueOrDie();
-  EXPECT_EQ(pin_report.rounds, churn_report.rounds);
-  // The fix: one compile per rule for the entire run, every later
-  // evaluation a pin hit.
-  EXPECT_EQ(pin_report.match.plan_cache_misses, 2u);
-  EXPECT_EQ(pin_report.match.plan_cache_hits,
-            2 * (pin_report.rounds - 1));
-  EXPECT_EQ(DerivedReach(pin_g), DerivedReach(churn_g));
-}
-
 }  // namespace
 }  // namespace good::rules

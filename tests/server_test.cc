@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -686,6 +687,88 @@ TEST(ClientTest, CommitAutoRetriesAfterLostRace) {
   // deletion is a no-op) and commits again.
   Client::CommitAck ack = loser.Commit().ValueOrDie();
   EXPECT_GE(ack.retries, 1u);
+  EXPECT_EQ(server->pipeline_stats().conflicts, 1u);
+  ASSERT_TRUE(server->Close().ok());
+}
+
+/// Forwards to a LocalTransport. After the first commit the server
+/// rejects, it runs `interfere` once, just before passing on the next
+/// request.
+class InterferingTransport final : public Transport {
+ public:
+  InterferingTransport(Server* server, std::function<void()> interfere)
+      : inner_(server), interfere_(std::move(interfere)) {}
+
+  Status Write(std::string_view bytes) override {
+    if (armed_) {
+      armed_ = false;
+      interfere_();
+    }
+    committing_ = bytes.starts_with("commit");
+    return inner_.Write(bytes);
+  }
+
+  Result<std::string> ReadLine() override {
+    GOOD_ASSIGN_OR_RETURN(std::string line, inner_.ReadLine());
+    if (committing_ && !fired_ && line.starts_with("err ")) {
+      armed_ = true;
+      fired_ = true;
+    }
+    committing_ = false;
+    return line;
+  }
+
+ private:
+  LocalTransport inner_;
+  std::function<void()> interfere_;
+  bool committing_ = false;
+  bool armed_ = false;
+  bool fired_ = false;
+};
+
+TEST(ClientTest, RetryAfterBackoffReplaysOntoCommitsMadeDuringTheSleep) {
+  std::string dir = MakeTempDir();
+  auto server = OpenPaperServer(dir);
+  const Scheme& scheme = server->database().scheme();
+  const std::string delete_text =
+      program::WriteOperations(
+          scheme, {Operation(hm::Fig16EdgeDeletion(scheme).ValueOrDie())})
+          .ValueOrDie();
+  const std::string add_text =
+      program::WriteOperations(
+          scheme, {Operation(hm::Fig16EdgeAddition(scheme).ValueOrDie())})
+          .ValueOrDie();
+
+  LocalTransport winner_wire(server.get());
+  LocalTransport third_wire(server.get());
+  Client winner(&winner_wire);
+  Client third(&third_wire);
+  ASSERT_TRUE(winner.Hello().ok());
+  ASSERT_TRUE(third.Hello().ok());
+  // Lands while the loser backs off after its first conflict: a commit
+  // that touches the node the loser's replay writes.
+  InterferingTransport loser_wire(server.get(), [&] {
+    ASSERT_TRUE(third.Refresh().ok());
+    ASSERT_TRUE(third.Exec(add_text).ok());
+    ASSERT_TRUE(third.Commit().ok());
+  });
+  ClientOptions options;
+  options.retry_jitter_seed = 1;  // nonzero backoff sleeps
+  Client loser(&loser_wire, options);
+  ASSERT_TRUE(loser.Hello().ok());
+
+  // The Figure 16 update (delete the modified date, add the new one)
+  // races a bare deletion of the same edge and loses.
+  ASSERT_TRUE(loser.Exec(delete_text).ok());
+  ASSERT_TRUE(loser.Exec(add_text).ok());
+  ASSERT_TRUE(winner.Exec(delete_text).ok());
+  ASSERT_TRUE(winner.Commit().ok());
+
+  // The replay must see the commit that landed during the backoff
+  // sleep; one replayed against the snapshot re-pinned at the first
+  // rejection conflicts with it a second time.
+  Client::CommitAck ack = loser.Commit().ValueOrDie();
+  EXPECT_EQ(ack.retries, 1u);
   EXPECT_EQ(server->pipeline_stats().conflicts, 1u);
   ASSERT_TRUE(server->Close().ok());
 }

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -889,7 +890,7 @@ TEST(MethodFailureTest, BudgetExhaustedCallLeavesMemoryAndLogConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot corruption & the snapshot.prev fallback chain
+// Snapshot corruption & the manifest.prev fallback chain
 // ---------------------------------------------------------------------------
 
 /// Bootstraps, checkpoints a 3-op state (displacing the bootstrap
@@ -1170,96 +1171,46 @@ TEST(IncrementalCheckpointTest, CarriedPartitionsSurviveReload) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy monolithic snapshots: transparent migration
+// Legacy monolithic snapshots are refused
 // ---------------------------------------------------------------------------
 
-/// Writes the pre-partitioning on-disk snapshot format: one framed
-/// record holding fixed64 next_seq + the database text.
-void WriteLegacySnapshot(const std::string& path,
-                         const program::Database& db, uint64_t seq) {
-  std::string payload;
-  AppendFixed64(&payload, seq);
-  payload += program::WriteDatabase(db);
-  std::string file;
-  AppendRecordTo(&file, payload);
-  Overwrite(path, file);
-}
-
-TEST(LegacyMigrationTest, MonolithicSnapshotMigratesOnFirstOpen) {
-  std::string dir = MakeTempDir();
-  program::Database initial = PaperDatabase();
-  WriteLegacySnapshot(Database::SnapshotPath(dir), initial, 0);
-
-  program::Database expected;
-  {
-    Database db = Database::Open(dir).ValueOrDie();
-    EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-    EXPECT_NE(db.recovery().ToString().find("migrated legacy snapshot"),
-              std::string::npos);
-    EXPECT_TRUE(graph::IsIsomorphic(db.instance(), initial.instance));
-    // The directory now speaks the partitioned layout, and the stale
-    // monolithic file was swept by the migration checkpoint's GC.
-    EXPECT_TRUE(
-        FileEnv::Default()->FileExists(Database::ManifestPath(dir)));
-    EXPECT_FALSE(
-        FileEnv::Default()->FileExists(Database::SnapshotPath(dir)));
-    db.Apply(SampleOps(db.scheme())[0]).OrDie();
-    expected = program::Database{db.scheme(), db.instance()};
+/// Every file in `dir` with its bytes.
+std::map<std::string, std::string> DirBytes(const std::string& dir) {
+  FileEnv* env = FileEnv::Default();
+  std::map<std::string, std::string> out;
+  for (const std::string& name : env->ListDir(dir).ValueOrDie()) {
+    out[name] = env->ReadFileToString(dir + "/" + name).ValueOrDie();
   }
-  // The second open is an ordinary partitioned open.
-  Database again = Database::Open(dir).ValueOrDie();
-  EXPECT_FALSE(again.recovery().migrated_legacy_snapshot);
-  EXPECT_EQ(again.recovery().ops_replayed, 1u);
-  EXPECT_TRUE(graph::IsIsomorphic(again.instance(), expected.instance));
+  return out;
 }
 
-TEST(LegacyMigrationTest, LegacyWalReplaysBeforeMigration) {
-  // A legacy directory caught mid-flight: monolithic snapshot plus a
-  // log tail. The log format is unchanged across the layout switch, so
-  // a log written against today's engine stands in for a legacy one.
-  std::string donor = MakeTempDir();
-  program::Database expected;
-  {
-    Database db = Database::Open(donor, PaperDatabase()).ValueOrDie();
-    std::vector<Operation> ops = SampleOps(db.scheme());
-    db.Apply(ops[0]).OrDie();
-    db.Apply(ops[1]).OrDie();
-    expected = program::Database{db.scheme(), db.instance()};
+TEST(LegacyLayoutTest, MonolithicSnapshotIsRefused) {
+  // The pre-partitioning layout: a monolithic snapshot beside a log and
+  // no manifest. Every salvage mode refuses it, names the file, and
+  // leaves the directory exactly as it was.
+  for (const char* name : {"snapshot.good", "snapshot.prev"}) {
+    for (SalvageMode mode : {SalvageMode::kStrict, SalvageMode::kSalvage,
+                             SalvageMode::kReadOnlyDegraded}) {
+      std::string dir = MakeTempDir();
+      Overwrite(dir + "/" + name, "monolithic snapshot");
+      std::string wal;
+      AppendRecordTo(&wal, "logged operation");
+      Overwrite(Database::WalPath(dir), wal);
+      const std::map<std::string, std::string> before = DirBytes(dir);
+
+      Options options;
+      options.salvage_mode = mode;
+      auto db = Database::Open(dir, PaperDatabase(), options);
+      const std::string where = std::string(name) + " in mode " +
+                                std::string(SalvageModeToString(mode));
+      ASSERT_FALSE(db.ok()) << where;
+      EXPECT_TRUE(db.status().IsFailedPrecondition())
+          << where << ": " << db.status().ToString();
+      EXPECT_NE(db.status().message().find(name), std::string::npos)
+          << db.status().ToString();
+      EXPECT_EQ(DirBytes(dir), before) << where;
+    }
   }
-  std::string dir = MakeTempDir();
-  WriteLegacySnapshot(Database::SnapshotPath(dir), PaperDatabase(), 0);
-  Overwrite(Database::WalPath(dir),
-            FileEnv::Default()
-                ->ReadFileToString(Database::WalPath(donor))
-                .ValueOrDie());
-
-  Database db = Database::Open(dir).ValueOrDie();
-  EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-  EXPECT_EQ(db.recovery().ops_replayed, 2u);
-  EXPECT_TRUE(db.scheme() == expected.scheme);
-  EXPECT_TRUE(graph::IsIsomorphic(db.instance(), expected.instance));
-  EXPECT_EQ(db.log_ops(), 0u) << "migration checkpointed the replay";
-}
-
-TEST(LegacyMigrationTest, DamagedLegacyCurrentFallsBackToPrevAndMigrates) {
-  std::string dir = MakeTempDir();
-  program::Database initial = PaperDatabase();
-  WriteLegacySnapshot(Database::SnapshotPath(dir), initial, 3);
-  WriteLegacySnapshot(Database::PreviousSnapshotPath(dir), initial, 0);
-  // Damage the current monolithic snapshot; the displaced one survives.
-  Overwrite(Database::SnapshotPath(dir), "junk");
-
-  auto strict = Database::Open(dir);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_TRUE(strict.status().IsDataLoss());
-
-  Options options;
-  options.salvage_mode = SalvageMode::kSalvage;
-  Database db = Database::Open(dir, options).ValueOrDie();
-  EXPECT_TRUE(db.recovery().used_previous_snapshot);
-  EXPECT_TRUE(db.recovery().salvaged);
-  EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-  EXPECT_TRUE(graph::IsIsomorphic(db.instance(), initial.instance));
 }
 
 // ---------------------------------------------------------------------------
@@ -1314,34 +1265,6 @@ TEST(DoubleDisplacementTest, PartitionedLayoutSurvivesBackToBackCrashes) {
   Database reopened = Database::Open(dir, PaperDatabase()).ValueOrDie();
   EXPECT_EQ(reopened.recovery().ops_replayed, 0u);
   EXPECT_TRUE(graph::IsIsomorphic(reopened.instance(), expected.instance));
-}
-
-TEST(DoubleDisplacementTest, CrashedMigrationAfterCrashedLegacyCheckpoint) {
-  // The monolithic-upgrade variant: the legacy database's last
-  // checkpoint crashed (snapshot.prev only — its own displacement
-  // window), and now the migration checkpoint crashes too.
-  std::string dir = MakeTempDir();
-  program::Database initial = PaperDatabase();
-  WriteLegacySnapshot(Database::PreviousSnapshotPath(dir), initial, 0);
-
-  FaultInjectionEnv env;
-  Options options;
-  options.env = &env;
-  FaultPlan plan;
-  plan.fail_rename_at = 1;  // no manifest.good yet, so #1 is the publish
-  env.SetPlan(plan);
-  auto crashed = Database::Open(dir, options);
-  ASSERT_FALSE(crashed.ok());
-
-  // The legacy chain is untouched; a clean open migrates successfully.
-  Database db = Database::Open(dir).ValueOrDie();
-  EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-  EXPECT_TRUE(db.recovery().used_previous_snapshot);
-  EXPECT_TRUE(graph::IsIsomorphic(db.instance(), initial.instance));
-  EXPECT_TRUE(
-      FileEnv::Default()->FileExists(Database::ManifestPath(dir)));
-  EXPECT_FALSE(
-      FileEnv::Default()->FileExists(Database::PreviousSnapshotPath(dir)));
 }
 
 // ---------------------------------------------------------------------------
