@@ -8,70 +8,6 @@
 
 namespace good::graph {
 
-Instance::Instance(const Instance& other)
-    : nodes_(other.nodes_),
-      num_alive_(other.num_alive_),
-      num_edges_(other.num_edges_),
-      edge_label_count_(other.edge_label_count_),
-      out_degree_sum_(other.out_degree_sum_),
-      in_degree_sum_(other.in_degree_sum_),
-      stats_epoch_(other.stats_epoch_),
-      dirty_classes_(other.dirty_classes_),
-      label_index_(other.label_index_),
-      printable_index_(other.printable_index_),
-      edge_set_(other.edge_set_) {}
-
-Instance& Instance::operator=(const Instance& other) {
-  if (this == &other) return *this;
-  nodes_ = other.nodes_;
-  num_alive_ = other.num_alive_;
-  num_edges_ = other.num_edges_;
-  edge_label_count_ = other.edge_label_count_;
-  out_degree_sum_ = other.out_degree_sum_;
-  in_degree_sum_ = other.in_degree_sum_;
-  stats_epoch_ = other.stats_epoch_;
-  dirty_classes_ = other.dirty_classes_;
-  label_index_ = other.label_index_;
-  printable_index_ = other.printable_index_;
-  edge_set_ = other.edge_set_;
-  journal_ = nullptr;
-  return *this;
-}
-
-Instance::Instance(Instance&& other) noexcept
-    : nodes_(std::move(other.nodes_)),
-      num_alive_(other.num_alive_),
-      num_edges_(other.num_edges_),
-      edge_label_count_(std::move(other.edge_label_count_)),
-      out_degree_sum_(std::move(other.out_degree_sum_)),
-      in_degree_sum_(std::move(other.in_degree_sum_)),
-      stats_epoch_(other.stats_epoch_),
-      dirty_classes_(std::move(other.dirty_classes_)),
-      label_index_(std::move(other.label_index_)),
-      printable_index_(std::move(other.printable_index_)),
-      edge_set_(std::move(other.edge_set_)),
-      journal_(other.journal_) {
-  other.journal_ = nullptr;
-}
-
-Instance& Instance::operator=(Instance&& other) noexcept {
-  if (this == &other) return *this;
-  nodes_ = std::move(other.nodes_);
-  num_alive_ = other.num_alive_;
-  num_edges_ = other.num_edges_;
-  edge_label_count_ = std::move(other.edge_label_count_);
-  out_degree_sum_ = std::move(other.out_degree_sum_);
-  in_degree_sum_ = std::move(other.in_degree_sum_);
-  stats_epoch_ = other.stats_epoch_;
-  dirty_classes_ = std::move(other.dirty_classes_);
-  label_index_ = std::move(other.label_index_);
-  printable_index_ = std::move(other.printable_index_);
-  edge_set_ = std::move(other.edge_set_);
-  journal_ = other.journal_;
-  other.journal_ = nullptr;
-  return *this;
-}
-
 uint64_t Instance::NextStatsEpoch() {
   // Process-wide: epochs are unique across ALL instances, so a plan
   // cached under (pattern, epoch) can never be confused between two
@@ -102,12 +38,12 @@ void Instance::NoteEdgeRemovedStats(Symbol edge_label, Symbol source_label,
 
 NodeId Instance::NewNode(Symbol label, std::optional<Value> print) {
   NodeId id{static_cast<uint32_t>(nodes_.size())};
-  nodes_.push_back(NodeRep{label, std::move(print), true, {}, {}, {}, {}});
+  nodes_.push_back(NodeRep{label, std::move(print), true, {}, {}});
   ++num_alive_;
   label_index_[label].insert(id.id);
   BumpStatsEpoch();
   MarkClassDirty(label);
-  if (journal_ != nullptr) journal_->RecordNodeAdded(id);
+  if (journal_.ptr != nullptr) journal_.ptr->RecordNodeAdded(id);
   return id;
 }
 
@@ -177,7 +113,7 @@ Result<NodeId> Instance::RestoreNodeAt(const schema::Scheme& scheme,
   // Dead filler: invisible to every query (HasNode checks alive), never
   // revived (the undo journal only records nodes that were once alive).
   while (nodes_.size() < id.id) {
-    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}, {}, {}});
+    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}});
   }
   std::optional<Value> dedup_key = print;
   NodeId got = NewNode(label, std::move(print));
@@ -189,7 +125,7 @@ Result<NodeId> Instance::RestoreNodeAt(const schema::Scheme& scheme,
 
 void Instance::ReserveNodeFrontier(size_t frontier) {
   while (nodes_.size() < frontier) {
-    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}, {}, {}});
+    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}});
   }
 }
 
@@ -208,16 +144,20 @@ Status Instance::RemoveNode(NodeId node) {
     return Status::NotFound("node #" + std::to_string(node.id) +
                             " does not exist");
   }
-  if (journal_ != nullptr) {
+  if (journal_.ptr != nullptr) {
     // Journaled path: detach each incident edge through RemoveEdge so
     // its exact list positions are recorded, then kill the node. The
-    // edge lists are copied because RemoveEdge mutates them; a
-    // self-loop appears in both copies, and its second removal is an
-    // idempotent no-op. The rep keeps its label and print value (the
-    // kill-undo revives them in place) and its emptied per-label
-    // entries — both invisible to every query.
-    const std::vector<std::pair<Symbol, NodeId>> out = nodes_[node.id].out;
-    const std::vector<std::pair<NodeId, Symbol>> in = nodes_[node.id].in;
+    // edges are copied out of the views because RemoveEdge mutates the
+    // lists behind them; a self-loop appears in both copies, and its
+    // second removal is an idempotent no-op. The rep keeps its label
+    // and print value (the kill-undo revives them in place) and its
+    // emptied per-label entries — both invisible to every query.
+    const OutEdgeView out_view = OutEdges(node);
+    const InEdgeView in_view = InEdges(node);
+    const std::vector<std::pair<Symbol, NodeId>> out(out_view.begin(),
+                                                     out_view.end());
+    const std::vector<std::pair<NodeId, Symbol>> in(in_view.begin(),
+                                                    in_view.end());
     for (const auto& [label, target] : out) {
       GOOD_RETURN_NOT_OK(RemoveEdge(node, label, target));
     }
@@ -233,27 +173,20 @@ Status Instance::RemoveNode(NodeId node) {
     }
     BumpStatsEpoch();
     MarkClassDirty(rep.label);
-    journal_->RecordNodeKilled(node);
+    journal_.ptr->RecordNodeKilled(node);
     return Status::OK();
   }
   NodeRep& rep = nodes_[node.id];
   // Detach incident edges from the neighbours' mirror lists. A self-loop
-  // is removed here (it appears in rep.out); the second loop only sees
-  // the in-edges that survive this one.
-  for (const auto& [label, target] : rep.out) {
-    auto& in = nodes_[target.id].in;
-    in.erase(std::remove(in.begin(), in.end(), std::make_pair(node, label)),
-             in.end());
+  // is removed here (it appears in the node's out-edges); the second
+  // loop only sees the in-edges that survive this one.
+  for (const auto& [label, target] : OutEdges(node)) {
     EraseFirst(&nodes_[target.id].in_by_label[label], node);
     edge_set_.erase(Edge{node, label, target});
     --num_edges_;
     NoteEdgeRemovedStats(label, rep.label, nodes_[target.id].label);
   }
-  for (const auto& [source, label] : rep.in) {
-    auto& out = nodes_[source.id].out;
-    out.erase(
-        std::remove(out.begin(), out.end(), std::make_pair(label, node)),
-        out.end());
+  for (const auto& [source, label] : InEdges(node)) {
     EraseFirst(&nodes_[source.id].out_by_label[label], node);
     edge_set_.erase(Edge{source, label, node});
     --num_edges_;
@@ -261,8 +194,6 @@ Status Instance::RemoveNode(NodeId node) {
     // The detached in-edge lived in the *source's* partition.
     MarkClassDirty(nodes_[source.id].label);
   }
-  rep.out.clear();
-  rep.in.clear();
   rep.out_by_label.clear();
   rep.in_by_label.clear();
   rep.alive = false;
@@ -304,13 +235,11 @@ Status Instance::AddEdge(const schema::Scheme& scheme, NodeId source,
     }
   }
   const bool fresh_out_entry =
-      journal_ != nullptr &&
+      journal_.ptr != nullptr &&
       nodes_[source.id].out_by_label.Find(label) == nullptr;
   const bool fresh_in_entry =
-      journal_ != nullptr &&
+      journal_.ptr != nullptr &&
       nodes_[target.id].in_by_label.Find(label) == nullptr;
-  nodes_[source.id].out.emplace_back(label, target);
-  nodes_[target.id].in.emplace_back(source, label);
   nodes_[source.id].out_by_label[label].push_back(target);
   nodes_[target.id].in_by_label[label].push_back(source);
   edge_set_.insert(Edge{source, label, target});
@@ -318,9 +247,9 @@ Status Instance::AddEdge(const schema::Scheme& scheme, NodeId source,
   NoteEdgeAddedStats(label, source_label, target_label);
   BumpStatsEpoch();
   MarkClassDirty(source_label);
-  if (journal_ != nullptr) {
-    journal_->RecordEdgeAdded(source, label, target, fresh_out_entry,
-                              fresh_in_entry);
+  if (journal_.ptr != nullptr) {
+    journal_.ptr->RecordEdgeAdded(source, label, target, fresh_out_entry,
+                                  fresh_in_entry);
   }
   return Status::OK();
 }
@@ -331,14 +260,6 @@ Status Instance::RemoveEdge(NodeId source, Symbol label, NodeId target) {
   // Each erase records the position it vacates; the journal's undo
   // re-inserts there, so list orderings survive a rollback exactly.
   // (Edges are sets, so every find hits the unique occurrence.)
-  auto& out = nodes_[source.id].out;
-  auto oit = std::find(out.begin(), out.end(), std::make_pair(label, target));
-  const auto out_pos = static_cast<uint32_t>(oit - out.begin());
-  out.erase(oit);
-  auto& in = nodes_[target.id].in;
-  auto iit = std::find(in.begin(), in.end(), std::make_pair(source, label));
-  const auto in_pos = static_cast<uint32_t>(iit - in.begin());
-  in.erase(iit);
   auto& out_list = nodes_[source.id].out_by_label[label];
   auto olit = std::find(out_list.begin(), out_list.end(), target);
   const auto out_label_pos = static_cast<uint32_t>(olit - out_list.begin());
@@ -351,9 +272,9 @@ Status Instance::RemoveEdge(NodeId source, Symbol label, NodeId target) {
   NoteEdgeRemovedStats(label, LabelOf(source), LabelOf(target));
   BumpStatsEpoch();
   MarkClassDirty(LabelOf(source));
-  if (journal_ != nullptr) {
-    journal_->RecordEdgeRemoved(source, label, target, out_pos, in_pos,
-                                out_label_pos, in_label_pos);
+  if (journal_.ptr != nullptr) {
+    journal_.ptr->RecordEdgeRemoved(source, label, target, out_label_pos,
+                                    in_label_pos);
   }
   return Status::OK();
 }
@@ -452,7 +373,7 @@ std::vector<Edge> Instance::AllEdges() const {
   out.reserve(num_edges_);
   for (uint32_t i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i].alive) continue;
-    for (const auto& [label, target] : nodes_[i].out) {
+    for (const auto& [label, target] : OutEdges(NodeId{i})) {
       out.push_back(Edge{NodeId{i}, label, target});
     }
   }
@@ -461,9 +382,19 @@ std::vector<Edge> Instance::AllEdges() const {
 }
 
 Status Instance::Validate(const schema::Scheme& scheme) const {
+  // One pass over the alive nodes checks each node and its out-edges
+  // and takes the censuses the whole-instance checks below compare
+  // against: printable nodes per label, adjacency entries per
+  // direction, and the cardinality statistics.
+  std::unordered_map<Symbol, size_t> printable_census;
+  size_t out_entries = 0;
+  size_t in_entries = 0;
+  std::unordered_map<Symbol, size_t> edge_label_census;
+  std::unordered_map<uint64_t, size_t> out_sum_census, in_sum_census;
   for (uint32_t i = 0; i < nodes_.size(); ++i) {
     const NodeRep& rep = nodes_[i];
     if (!rep.alive) continue;
+    const NodeId node{i};
     const std::string node_name = "node #" + std::to_string(i);
     if (!scheme.IsNodeLabel(rep.label)) {
       return Status::Internal(node_name + " label '" + SymName(rep.label) +
@@ -476,14 +407,17 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
         if (rep.print->kind() != *domain) {
           return Status::Internal(node_name + " print value outside domain");
         }
+        ++printable_census[rep.label];
       }
     } else if (rep.print.has_value()) {
       return Status::Internal(node_name + " is an object but has a print value");
     }
-    // Edge typing, functional uniqueness, equal successor labels.
+    // Edge typing, functional uniqueness, equal successor labels, and
+    // agreement of the out-entry with the edge set and the target's
+    // in-list.
     std::unordered_map<Symbol, Symbol> successor_label;
     std::unordered_map<Symbol, int> functional_count;
-    for (const auto& [label, target] : rep.out) {
+    for (const auto& [label, target] : OutEdges(node)) {
       if (!HasNode(target)) {
         return Status::Internal(node_name + " has an edge to a dead node");
       }
@@ -501,7 +435,20 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
         return Status::Internal(node_name + " has multiple functional '" +
                                 SymName(label) + "' edges");
       }
+      if (!edge_set_.contains(Edge{node, label, target})) {
+        return Status::Internal(node_name + " edge missing from edge set");
+      }
+      const auto& sources = InSources(target, label);
+      if (std::find(sources.begin(), sources.end(), node) == sources.end()) {
+        return Status::Internal(node_name +
+                                " edge missing from the target's in-list");
+      }
+      ++out_entries;
+      ++edge_label_census[label];
+      ++out_sum_census[StatsKey(label, rep.label)];
+      ++in_sum_census[StatsKey(label, LabelOf(target))];
     }
+    in_entries += InEdges(node).size();
   }
   // Printable dedup.
   for (const auto& [label, by_value] : printable_index_) {
@@ -512,12 +459,6 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
       }
     }
   }
-  std::unordered_map<Symbol, size_t> printable_census;
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].alive && nodes_[i].print.has_value()) {
-      ++printable_census[nodes_[i].label];
-    }
-  }
   for (const auto& [label, count] : printable_census) {
     auto it = printable_index_.find(label);
     size_t indexed = it == printable_index_.end() ? 0 : it->second.size();
@@ -526,47 +467,11 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
                               SymName(label) + "'");
     }
   }
-  // Adjacency indexes must mirror the edge lists exactly.
-  size_t counted_edges = 0;
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    const NodeRep& rep = nodes_[i];
-    if (!rep.alive) continue;
-    const std::string node_name = "node #" + std::to_string(i);
-    std::unordered_map<Symbol, size_t> out_census, in_census;
-    for (const auto& [label, target] : rep.out) {
-      ++out_census[label];
-      ++counted_edges;
-      if (!edge_set_.contains(Edge{NodeId{i}, label, target})) {
-        return Status::Internal(node_name + " edge missing from edge set");
-      }
-      const auto& targets = OutTargets(NodeId{i}, label);
-      if (std::find(targets.begin(), targets.end(), target) ==
-          targets.end()) {
-        return Status::Internal(node_name + " edge missing from out index");
-      }
-    }
-    for (const auto& [source, label] : rep.in) {
-      ++in_census[label];
-      const auto& sources = InSources(NodeId{i}, label);
-      if (std::find(sources.begin(), sources.end(), source) ==
-          sources.end()) {
-        return Status::Internal(node_name + " edge missing from in index");
-      }
-    }
-    for (const auto& [label, targets] : rep.out_by_label.entries) {
-      if (targets.size() != out_census[label]) {
-        return Status::Internal(node_name + " out index size mismatch for '" +
-                                SymName(label) + "'");
-      }
-    }
-    for (const auto& [label, sources] : rep.in_by_label.entries) {
-      if (sources.size() != in_census[label]) {
-        return Status::Internal(node_name + " in index size mismatch for '" +
-                                SymName(label) + "'");
-      }
-    }
-  }
-  if (counted_edges != num_edges_ || edge_set_.size() != num_edges_) {
+  // Every out-entry sits in the edge set and has its in-list mirror;
+  // equal totals then rule out duplicate and stale entries on either
+  // side.
+  if (out_entries != num_edges_ || in_entries != num_edges_ ||
+      edge_set_.size() != num_edges_) {
     return Status::Internal("edge count disagrees with edge set");
   }
   // The label index must mirror the node census exactly.
@@ -584,20 +489,9 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
   if (indexed_nodes != num_alive_) {
     return Status::Internal("label index size disagrees with alive count");
   }
-  // Cardinality statistics (the cost planner's inputs) must mirror a
+  // Cardinality statistics (the cost planner's inputs) must mirror the
   // from-scratch edge census exactly — a missed maintenance hook on any
   // mutation path fails loudly here instead of silently skewing plans.
-  std::unordered_map<Symbol, size_t> edge_label_census;
-  std::unordered_map<uint64_t, size_t> out_sum_census, in_sum_census;
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    const NodeRep& rep = nodes_[i];
-    if (!rep.alive) continue;
-    for (const auto& [label, target] : rep.out) {
-      ++edge_label_census[label];
-      ++out_sum_census[StatsKey(label, rep.label)];
-      ++in_sum_census[StatsKey(label, nodes_[target.id].label)];
-    }
-  }
   auto same_counts = [](const auto& stored, const auto& census) {
     // Zero-valued stats entries are erased, so equal supports + equal
     // values means exact agreement.

@@ -17,13 +17,17 @@
 #ifndef GOOD_GRAPH_INSTANCE_H_
 #define GOOD_GRAPH_INSTANCE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -69,6 +73,99 @@ struct EdgeHash {
   }
 };
 
+/// \brief Read-only view of one node's edges in one direction, flattened
+/// from the node's per-label adjacency lists.
+///
+/// Iteration is grouped by edge label: labels in the order the node
+/// first gained an edge with that label (a label whose edges were all
+/// removed keeps its place), each label's edges in insertion order.
+/// Elements are built on the fly as `Pair` values — (label, target) for
+/// out-edges, (source, label) for in-edges. The view holds no edges of
+/// its own, so copying it copies none, and any mutation of the instance
+/// invalidates it: a caller that mutates while iterating must first
+/// copy the edges into a vector.
+template <typename Pair>
+class EdgeView {
+  using LabelList = std::pair<Symbol, std::vector<NodeId>>;
+  static constexpr bool kLabelFirst =
+      std::is_same_v<typename Pair::first_type, Symbol>;
+
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using iterator_concept = std::forward_iterator_tag;
+    using value_type = Pair;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Pair;
+
+    iterator() = default;
+
+    Pair operator*() const {
+      const auto& [label, nodes] = *list_;
+      if constexpr (kLabelFirst) {
+        return Pair{label, nodes[pos_]};
+      } else {
+        return Pair{nodes[pos_], label};
+      }
+    }
+    iterator& operator++() {
+      if (++pos_ == list_->second.size()) {
+        pos_ = 0;
+        ++list_;
+        SkipEmpty();
+      }
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const iterator&, const iterator&) = default;
+
+   private:
+    friend class EdgeView;
+    iterator(const LabelList* list, const LabelList* end)
+        : list_(list), end_(end) {
+      SkipEmpty();
+    }
+    void SkipEmpty() {
+      while (list_ != end_ && list_->second.empty()) ++list_;
+    }
+
+    const LabelList* list_ = nullptr;
+    const LabelList* end_ = nullptr;
+    size_t pos_ = 0;
+  };
+
+  iterator begin() const { return iterator(first_, last_); }
+  iterator end() const { return iterator(last_, last_); }
+  bool empty() const { return begin() == end(); }
+  /// Number of edges; linear in the node's distinct labels.
+  size_t size() const {
+    size_t n = 0;
+    for (const LabelList* list = first_; list != last_; ++list) {
+      n += list->second.size();
+    }
+    return n;
+  }
+
+ private:
+  friend class Instance;
+  explicit EdgeView(const std::vector<LabelList>& lists)
+      : first_(lists.data()), last_(lists.data() + lists.size()) {}
+
+  const LabelList* first_;
+  const LabelList* last_;
+};
+
+/// A node's outgoing edges as (edge label, target) pairs.
+using OutEdgeView = EdgeView<std::pair<Symbol, NodeId>>;
+/// A node's incoming edges as (source, edge label) pairs.
+using InEdgeView = EdgeView<std::pair<NodeId, Symbol>>;
+
 /// \brief An object base instance over some scheme.
 ///
 /// The instance does not own its scheme; mutators take the scheme as a
@@ -83,12 +180,12 @@ class Instance {
   /// Copies snapshot the graph but never the journal attachment: a
   /// journal records mutations of one specific instance, so a copy
   /// taken mid-transaction starts un-journaled.
-  Instance(const Instance& other);
-  Instance& operator=(const Instance& other);
+  Instance(const Instance& other) = default;
+  Instance& operator=(const Instance& other) = default;
   /// Moves transfer the journal attachment (the recorded state now
   /// lives in the destination) and detach the source.
-  Instance(Instance&& other) noexcept;
-  Instance& operator=(Instance&& other) noexcept;
+  Instance(Instance&& other) noexcept = default;
+  Instance& operator=(Instance&& other) noexcept = default;
 
   // ---- Undo journaling -----------------------------------------------------
 
@@ -96,9 +193,9 @@ class Instance {
   /// its inverse there until DetachJournal(). At most one journal can
   /// be attached; nested transaction scopes share it via savepoint
   /// marks (see ops/transaction.h).
-  void AttachJournal(UndoJournal* journal) { journal_ = journal; }
-  void DetachJournal() { journal_ = nullptr; }
-  UndoJournal* journal() const { return journal_; }
+  void AttachJournal(UndoJournal* journal) { journal_.ptr = journal; }
+  void DetachJournal() { journal_.ptr = nullptr; }
+  UndoJournal* journal() const { return journal_.ptr; }
 
   // ---- Node mutation -------------------------------------------------------
 
@@ -190,13 +287,15 @@ class Instance {
     return edge_set_.contains(Edge{source, label, target});
   }
 
-  /// Outgoing edges of `node` as (edge label, target) pairs.
-  const std::vector<std::pair<Symbol, NodeId>>& OutEdges(NodeId node) const {
-    return nodes_[node.id].out;
+  /// Outgoing edges of `node` as (edge label, target) pairs, grouped by
+  /// label (see EdgeView for the order).
+  OutEdgeView OutEdges(NodeId node) const {
+    return OutEdgeView(nodes_[node.id].out_by_label.entries);
   }
-  /// Incoming edges of `node` as (source, edge label) pairs.
-  const std::vector<std::pair<NodeId, Symbol>>& InEdges(NodeId node) const {
-    return nodes_[node.id].in;
+  /// Incoming edges of `node` as (source, edge label) pairs, grouped by
+  /// label (see EdgeView for the order).
+  InEdgeView InEdges(NodeId node) const {
+    return InEdgeView(nodes_[node.id].in_by_label.entries);
   }
 
   /// Targets of `label`-edges leaving `node`. Index-backed: no scan over
@@ -298,7 +397,10 @@ class Instance {
 
   /// Per-label adjacency stored flat: a node touches few distinct edge
   /// labels, so a linear scan over a contiguous array beats a per-node
-  /// hash map on the matcher hot path and costs far less memory.
+  /// hash map on the matcher hot path and costs far less memory. An
+  /// entry emptied by edge removal is kept, never erased: the undo
+  /// journal re-inserts at recorded positions and pops only entries an
+  /// add created.
   struct LabelAdjacency {
     std::vector<std::pair<Symbol, std::vector<NodeId>>> entries;
 
@@ -322,12 +424,32 @@ class Instance {
     Symbol label;
     std::optional<Value> print;
     bool alive = true;
-    std::vector<std::pair<Symbol, NodeId>> out;
-    std::vector<std::pair<NodeId, Symbol>> in;
-    // Per-label adjacency (insertion order preserved): the matcher hot
-    // path reads these instead of scanning `out`/`in`.
+    // The node's only adjacency, one list per edge label and direction
+    // (insertion order preserved); OutEdges/InEdges flatten them.
     LabelAdjacency out_by_label;
     LabelAdjacency in_by_label;
+  };
+
+  /// The journal attachment, with the copy and move rules documented on
+  /// Instance's special members: a copy starts detached, a move
+  /// transfers the pointer and detaches the source. Keeping the rule in
+  /// this member lets Instance default its special members, so every
+  /// other field is copied and moved without being listed.
+  struct JournalLink {
+    UndoJournal* ptr = nullptr;
+
+    JournalLink() = default;
+    JournalLink(const JournalLink&) {}
+    JournalLink& operator=(const JournalLink& other) {
+      if (this != &other) ptr = nullptr;
+      return *this;
+    }
+    JournalLink(JournalLink&& other) noexcept
+        : ptr(std::exchange(other.ptr, nullptr)) {}
+    JournalLink& operator=(JournalLink&& other) noexcept {
+      ptr = std::exchange(other.ptr, nullptr);
+      return *this;
+    }
   };
 
   NodeId NewNode(Symbol label, std::optional<Value> print);
@@ -365,7 +487,7 @@ class Instance {
   // Every alive edge, for O(1) HasEdge.
   std::unordered_set<Edge, EdgeHash> edge_set_;
   // Inverse-mutation recorder; nullptr outside transactions. Not owned.
-  UndoJournal* journal_ = nullptr;
+  JournalLink journal_;
 };
 
 }  // namespace good::graph

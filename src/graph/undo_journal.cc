@@ -1,9 +1,7 @@
 #include "graph/undo_journal.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
 
 namespace good::graph {
 
@@ -74,9 +72,7 @@ void UndoJournal::RollbackTo(Instance* instance, Mark mark) {
         break;
       }
       case Kind::kEdgeAdded: {
-        // The add appended to every list, so the edge is at every tail.
-        instance->nodes_[e.node.id].out.pop_back();
-        instance->nodes_[e.target.id].in.pop_back();
+        // The add appended to both lists, so the edge is at both tails.
         auto& out_by_label = instance->nodes_[e.node.id].out_by_label;
         if (e.fresh_out_entry) {
           // The add created the per-label entry (at the entries tail).
@@ -102,11 +98,6 @@ void UndoJournal::RollbackTo(Instance* instance, Mark mark) {
       case Kind::kEdgeRemoved: {
         // Positional re-insert: the recorded positions are valid
         // because the state now equals the post-removal state.
-        auto& out = instance->nodes_[e.node.id].out;
-        out.insert(out.begin() + e.out_pos,
-                   std::make_pair(e.label, e.target));
-        auto& in = instance->nodes_[e.target.id].in;
-        in.insert(in.begin() + e.in_pos, std::make_pair(e.node, e.label));
         auto& out_list = instance->nodes_[e.node.id].out_by_label[e.label];
         out_list.insert(out_list.begin() + e.out_label_pos, e.target);
         auto& in_list = instance->nodes_[e.target.id].in_by_label[e.label];

@@ -115,8 +115,8 @@ class UndoJournal {
   enum class Kind : uint8_t {
     kNodeAdded,    // Undo: pop the node (it is the allocation tail).
     kNodeKilled,   // Undo: revive the node and its index entries.
-    kEdgeAdded,    // Undo: pop the edge off every list tail.
-    kEdgeRemoved,  // Undo: positional re-insert into every list.
+    kEdgeAdded,    // Undo: pop the edge off both per-label list tails.
+    kEdgeRemoved,  // Undo: positional re-insert into both per-label lists.
   };
 
   struct Entry {
@@ -124,9 +124,8 @@ class UndoJournal {
     NodeId node;    // The node, or the edge source.
     Symbol label;   // Edge label (edge entries only).
     NodeId target;  // Edge target (edge entries only).
-    // kEdgeRemoved: positions the edge occupied at removal time.
-    uint32_t out_pos = 0;
-    uint32_t in_pos = 0;
+    // kEdgeRemoved: positions the edge occupied at removal time in the
+    // source's and the target's per-label lists.
     uint32_t out_label_pos = 0;
     uint32_t in_label_pos = 0;
     // kEdgeAdded: whether the add created the per-label index entry.
@@ -136,23 +135,21 @@ class UndoJournal {
 
   void RecordNodeAdded(NodeId node) {
     entries_.push_back(Entry{Kind::kNodeAdded, node, Symbol{}, NodeId{},
-                             0, 0, 0, 0, false, false});
+                             0, 0, false, false});
   }
   void RecordNodeKilled(NodeId node) {
     entries_.push_back(Entry{Kind::kNodeKilled, node, Symbol{}, NodeId{},
-                             0, 0, 0, 0, false, false});
+                             0, 0, false, false});
   }
   void RecordEdgeAdded(NodeId source, Symbol label, NodeId target,
                        bool fresh_out_entry, bool fresh_in_entry) {
     entries_.push_back(Entry{Kind::kEdgeAdded, source, label, target,
-                             0, 0, 0, 0, fresh_out_entry, fresh_in_entry});
+                             0, 0, fresh_out_entry, fresh_in_entry});
   }
   void RecordEdgeRemoved(NodeId source, Symbol label, NodeId target,
-                         uint32_t out_pos, uint32_t in_pos,
                          uint32_t out_label_pos, uint32_t in_label_pos) {
     entries_.push_back(Entry{Kind::kEdgeRemoved, source, label, target,
-                             out_pos, in_pos, out_label_pos, in_label_pos,
-                             false, false});
+                             out_label_pos, in_label_pos, false, false});
   }
 
   std::vector<Entry> entries_;

@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace good::macros {
@@ -127,15 +128,20 @@ Result<VirtualView> BuildVirtualView(const Scheme& scheme,
   while (changed) {
     changed = false;
     for (NodeId sub : view.instance.AllNodes()) {
-      // Snapshot both adjacency lists: AddEdge below appends to sub's
-      // out-edges, which would invalidate live iterators.
-      const auto sub_out = view.instance.OutEdges(sub);
+      // Copy both edge sequences out of their views: AddEdge below
+      // appends to sub's out-lists, which would invalidate live
+      // iterators.
+      const graph::OutEdgeView sub_view = view.instance.OutEdges(sub);
+      const std::vector<std::pair<Symbol, NodeId>> sub_out(sub_view.begin(),
+                                                           sub_view.end());
       for (const auto& [edge, super] : sub_out) {
         if (!view.scheme.IsIsaTriple(view.instance.LabelOf(sub), edge,
                                      view.instance.LabelOf(super))) {
           continue;
         }
-        const auto super_out = view.instance.OutEdges(super);
+        const graph::OutEdgeView super_view = view.instance.OutEdges(super);
+        const std::vector<std::pair<Symbol, NodeId>> super_out(
+            super_view.begin(), super_view.end());
         for (const auto& [prop, target] : super_out) {
           if (view.instance.HasEdge(sub, prop, target)) continue;
           if (!view.scheme.HasTriple(view.instance.LabelOf(sub), prop,

@@ -352,17 +352,10 @@ Status NodeDeletion::Apply(Scheme* scheme, Instance* instance,
 
   local.matchings = matchings.size();
   for (NodeId node : doomed) {
-    // A self-loop appears in both OutEdges and InEdges but is one edge;
-    // count it once.
-    size_t incident =
-        instance->OutEdges(node).size() + instance->InEdges(node).size();
-    for (const auto& [label, target] : instance->OutEdges(node)) {
-      (void)label;
-      if (target == node) --incident;
-    }
+    const size_t edges_before = instance->num_edges();
     GOOD_RETURN_NOT_OK(instance->RemoveNode(node));
     ++local.nodes_deleted;
-    local.edges_deleted += incident;
+    local.edges_deleted += edges_before - instance->num_edges();
   }
   if (stats != nullptr) *stats += local;
   txn.Commit();

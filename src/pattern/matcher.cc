@@ -453,7 +453,7 @@ struct SeedItem {
 
 /// The deterministic item order shared by every delta-seeded
 /// enumeration of a pattern: pattern edges first (ascending source id,
-/// each node's OutEdges in insertion order), then isolated pattern
+/// each node's OutEdges in label-grouped order), then isolated pattern
 /// nodes (ascending id). A matching is new exactly when some item maps
 /// into the delta; seed item i enumerates the matchings whose FIRST
 /// delta-mapped item is i, so the per-item outputs concatenate into a

@@ -9,8 +9,12 @@ namespace {
 /// that a slice overshoots its budget by at most a few nodes.
 constexpr size_t kPollStride = 64;
 
-bool Contains(const std::vector<graph::NodeId>& list, graph::NodeId node) {
-  return std::find(list.begin(), list.end(), node) != list.end();
+/// How often `node` occurs in `list`. An edge held in one direction's
+/// list must occur exactly once in the other direction's list: zero is
+/// a lost mirror, two a stale duplicate.
+size_t Occurrences(const std::vector<graph::NodeId>& list,
+                   graph::NodeId node) {
+  return std::count(list.begin(), list.end(), node);
 }
 
 }  // namespace
@@ -18,8 +22,6 @@ bool Contains(const std::vector<graph::NodeId>& list, graph::NodeId node) {
 void Scrubber::Reset() {
   report_ = ScrubReport{};
   cursor_ = 0;
-  alive_seen_ = 0;
-  out_edges_seen_ = 0;
   label_census_.clear();
 }
 
@@ -32,7 +34,6 @@ void Scrubber::ScrubNode(graph::NodeId node) {
   };
 
   const Symbol label = g.LabelOf(node);
-  ++alive_seen_;
   ++label_census_[label];
   const size_t problems_before = report_.problems.size();
   const size_t edges_before = report_.edges_scrubbed;
@@ -64,13 +65,12 @@ void Scrubber::ScrubNode(graph::NodeId node) {
     problem("is an object node but carries a print value");
   }
 
-  // Outgoing edges: typing, uniqueness, and agreement of all three
-  // redundant indexes (edge set, out index, target's in index).
-  std::unordered_map<Symbol, size_t> out_census, in_census;
+  // Outgoing edges: typing, uniqueness, membership in the edge set, and
+  // a single mirror in the target's in-list.
+  std::unordered_map<Symbol, size_t> out_census;
   std::unordered_map<Symbol, Symbol> successor_label;
   for (const auto& [edge_label, target] : g.OutEdges(node)) {
     ++report_.edges_scrubbed;
-    ++out_edges_seen_;
     ++out_census[edge_label];
     if (!g.HasNode(target)) {
       problem("has a '" + SymName(edge_label) + "' edge to dead node #" +
@@ -94,45 +94,25 @@ void Scrubber::ScrubNode(graph::NodeId node) {
     if (!g.HasEdge(node, edge_label, target)) {
       problem("edge '" + SymName(edge_label) + "' missing from the edge set");
     }
-    if (!Contains(g.OutTargets(node, edge_label), target)) {
-      problem("edge '" + SymName(edge_label) + "' missing from the out index");
-    }
-    if (!Contains(g.InSources(target, edge_label), node)) {
+    if (Occurrences(g.InSources(target, edge_label), node) != 1) {
       problem("edge '" + SymName(edge_label) +
-              "' missing from the target's in index");
+              "' is not mirrored exactly once in the target's in-list");
     }
   }
-  // Incoming edges: every recorded predecessor must know about us.
+  // Incoming edges: every recorded predecessor must hold us exactly once.
   for (const auto& [source, edge_label] : g.InEdges(node)) {
-    ++in_census[edge_label];
     if (!g.HasNode(source)) {
       problem("has a '" + SymName(edge_label) + "' edge from dead node #" +
               std::to_string(source.id));
       continue;
     }
-    if (!g.HasEdge(source, edge_label, node)) {
+    if (Occurrences(g.OutTargets(source, edge_label), node) != 1) {
       problem("incoming '" + SymName(edge_label) +
-              "' edge missing from the edge set");
-    }
-    if (!Contains(g.OutTargets(source, edge_label), node)) {
-      problem("incoming '" + SymName(edge_label) +
-              "' edge missing from the source's out index");
-    }
-  }
-  // Cardinality agreement catches *stale* index entries — an index can
-  // contain every listed edge and still be too big.
-  for (const auto& [edge_label, count] : out_census) {
-    if (g.OutDegree(node, edge_label) != count) {
-      problem("out index size disagrees for '" + SymName(edge_label) + "'");
-    }
-  }
-  for (const auto& [edge_label, count] : in_census) {
-    if (g.InDegree(node, edge_label) != count) {
-      problem("in index size disagrees for '" + SymName(edge_label) + "'");
+              "' edge is not mirrored exactly once in the source's out-list");
     }
   }
   // Label index membership.
-  if (!Contains(g.NodesWithLabel(label), node)) {
+  if (Occurrences(g.NodesWithLabel(label), node) == 0) {
     problem("missing from the label index for '" + SymName(label) + "'");
   }
 
@@ -171,14 +151,16 @@ Status Scrubber::Step(const ScrubOptions& options) {
 
   // Whole-instance totals (exact when the pass ran without concurrent
   // mutation; see file comment).
-  if (alive_seen_ != instance_->num_nodes()) {
+  if (report_.nodes_scrubbed != instance_->num_nodes()) {
     report_.problems.push_back(
-        "alive-node count disagrees: walked " + std::to_string(alive_seen_) +
+        "alive-node count disagrees: walked " +
+        std::to_string(report_.nodes_scrubbed) +
         ", instance reports " + std::to_string(instance_->num_nodes()));
   }
-  if (out_edges_seen_ != instance_->num_edges()) {
+  if (report_.edges_scrubbed != instance_->num_edges()) {
     report_.problems.push_back(
-        "edge count disagrees: walked " + std::to_string(out_edges_seen_) +
+        "edge count disagrees: walked " +
+        std::to_string(report_.edges_scrubbed) +
         ", instance reports " + std::to_string(instance_->num_edges()));
   }
   for (const auto& [label, count] : label_census_) {

@@ -5,19 +5,19 @@
 /// in one uninterruptible pass with private-member access. A
 /// production system wants the same audit as a background chore that
 /// (a) runs against the public query surface — so it also catches the
-/// redundant indexes (per-label adjacency, edge hash set, printable
-/// dedup map, label index) drifting out of line with the edge lists
-/// they cache — and (b) can be sliced under a common::Deadline so it
-/// steals bounded time from serving. The Scrubber walks nodes in id
-/// order, cross-checking per node:
+/// structures that hold the same facts twice (out- vs. in-adjacency,
+/// edge hash set, printable dedup map, label index) drifting out of
+/// line — and (b) can be sliced under a common::Deadline so it steals
+/// bounded time from serving. The Scrubber walks nodes in id order,
+/// cross-checking per node:
 ///
 ///  - scheme conformance: node label in OL ∪ POL, print values only on
 ///    printable labels and inside their domain, every edge licensed by
 ///    a P-triple, functional-edge uniqueness, equal successor labels;
-///  - index agreement: every out-edge present in the edge hash set
-///    (HasEdge), in the source's out index (OutTargets) and the
-///    target's in index (InSources), with index cardinalities matching
-///    the adjacency lists in both directions;
+///  - adjacency agreement: every out-edge present in the edge hash set
+///    (HasEdge) and mirrored exactly once in the target's in-list
+///    (InSources), and every in-edge mirrored exactly once in the
+///    source's out-list (OutTargets);
 ///  - printable dedup: a valued printable node is exactly the node the
 ///    (label, value) dedup map resolves to.
 ///
@@ -116,9 +116,8 @@ class Scrubber {
   ScrubReport report_;
   /// Next node id to examine (dense ids make this a resume point).
   uint32_t cursor_ = 0;
-  /// Totals accumulated across slices of the current pass.
-  size_t alive_seen_ = 0;
-  size_t out_edges_seen_ = 0;
+  /// Per-label node census accumulated across slices of the current
+  /// pass (the node and edge totals are the report's own counters).
   std::unordered_map<Symbol, size_t> label_census_;
 };
 

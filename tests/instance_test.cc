@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graph/instance.h"
 #include "graph/undo_journal.h"
 #include "schema/scheme.h"
@@ -134,6 +137,93 @@ TEST(InstanceTest, RemoveNodeDetachesEdges) {
   EXPECT_TRUE(g.Validate(s).ok());
   // Removing again is NotFound.
   EXPECT_TRUE(g.RemoveNode(b).IsNotFound());
+}
+
+using OutList = std::vector<std::pair<Symbol, NodeId>>;
+using InList = std::vector<std::pair<NodeId, Symbol>>;
+
+OutList Out(const Instance& g, NodeId node) {
+  const OutEdgeView view = g.OutEdges(node);
+  return OutList(view.begin(), view.end());
+}
+
+InList In(const Instance& g, NodeId node) {
+  const InEdgeView view = g.InEdges(node);
+  return InList(view.begin(), view.end());
+}
+
+TEST(InstanceTest, EdgeViewsSkipEmptiedLabelEntries) {
+  Scheme s = TestScheme();
+  Instance g;
+  NodeId d1 = *g.AddObjectNode(s, Sym("Doc"));
+  NodeId d2 = *g.AddObjectNode(s, Sym("Doc"));
+  NodeId d3 = *g.AddObjectNode(s, Sym("Doc"));
+  NodeId t = *g.AddObjectNode(s, Sym("Tag"));
+  NodeId x = *g.AddPrintableNode(s, Sym("Str"), Value("x"));
+  g.AddEdge(s, d1, Sym("refs"), d2).OrDie();
+  g.AddEdge(s, d1, Sym("tags"), t).OrDie();
+  g.AddEdge(s, d1, Sym("refs"), d3).OrDie();
+  g.AddEdge(s, d1, Sym("title"), x).OrDie();
+  g.AddEdge(s, d2, Sym("refs"), d3).OrDie();
+
+  // Grouped by label: labels in first-insertion order, edges of one
+  // label in insertion order — not the global insertion order.
+  EXPECT_EQ(Out(g, d1), (OutList{{Sym("refs"), d2},
+                                 {Sym("refs"), d3},
+                                 {Sym("tags"), t},
+                                 {Sym("title"), x}}));
+  EXPECT_EQ(g.OutEdges(d1).size(), 4u);
+  EXPECT_EQ(In(g, d3), (InList{{d1, Sym("refs")}, {d2, Sym("refs")}}));
+
+  // Emptying a label in the middle of the entries: the emptied entry is
+  // skipped, and a node whose only entry is emptied reports an empty
+  // view.
+  g.RemoveEdge(d1, Sym("tags"), t).OrDie();
+  EXPECT_EQ(Out(g, d1), (OutList{{Sym("refs"), d2},
+                                 {Sym("refs"), d3},
+                                 {Sym("title"), x}}));
+  EXPECT_TRUE(g.InEdges(t).empty());
+  EXPECT_EQ(g.InEdges(t).size(), 0u);
+  EXPECT_TRUE(g.InEdges(t).begin() == g.InEdges(t).end());
+  EXPECT_TRUE(In(g, t).empty());
+
+  // Emptying the first entry: iteration starts at the next label.
+  g.RemoveEdge(d1, Sym("refs"), d2).OrDie();
+  g.RemoveEdge(d1, Sym("refs"), d3).OrDie();
+  EXPECT_EQ(Out(g, d1), (OutList{{Sym("title"), x}}));
+  EXPECT_EQ(g.OutEdges(d1).size(), 1u);
+
+  // Re-adding appends to the label's list; the label keeps its place.
+  g.AddEdge(s, d1, Sym("refs"), d3).OrDie();
+  g.AddEdge(s, d1, Sym("refs"), d2).OrDie();
+  g.AddEdge(s, d1, Sym("tags"), t).OrDie();
+  EXPECT_EQ(Out(g, d1), (OutList{{Sym("refs"), d3},
+                                 {Sym("refs"), d2},
+                                 {Sym("tags"), t},
+                                 {Sym("title"), x}}));
+  EXPECT_EQ(In(g, d3), (InList{{d2, Sym("refs")}, {d1, Sym("refs")}}));
+  EXPECT_TRUE(g.Validate(s).ok());
+
+  // A removed node's self-loop and in-edges leave the edge set, under
+  // both removal paths (the journaled one keeps the dead node's emptied
+  // entries).
+  for (bool journaled : {false, true}) {
+    Instance h = g;
+    UndoJournal journal;
+    if (journaled) h.AttachJournal(&journal);
+    h.AddEdge(s, d2, Sym("refs"), d2).OrDie();
+    h.RemoveNode(d2).OrDie();
+    h.DetachJournal();
+    EXPECT_FALSE(h.HasEdge(d2, Sym("refs"), d2)) << journaled;
+    EXPECT_FALSE(h.HasEdge(d1, Sym("refs"), d2)) << journaled;
+    EXPECT_FALSE(h.HasEdge(d2, Sym("refs"), d3)) << journaled;
+    EXPECT_EQ(Out(h, d1), (OutList{{Sym("refs"), d3},
+                                   {Sym("tags"), t},
+                                   {Sym("title"), x}}))
+        << journaled;
+    EXPECT_EQ(In(h, d3), (InList{{d1, Sym("refs")}})) << journaled;
+    EXPECT_TRUE(h.Validate(s).ok()) << journaled;
+  }
 }
 
 TEST(InstanceTest, RemovedPrintableCanBeReadded) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -40,17 +41,29 @@ Scheme DocScheme() {
   return s;
 }
 
-/// A byte-exact observation of an instance: fingerprint plus the node
-/// and edge sequences in their internal order. Rollback must restore
-/// all of it — not just an isomorphic copy.
+/// A byte-exact observation of an instance: fingerprint, the node and
+/// edge sets, and every alive node's out- and in-edge sequence in
+/// internal order. AllEdges() sorts, so only the per-node sequences
+/// catch a rollback that restores the right edges in the wrong list
+/// order. Rollback must restore all of it — not just an isomorphic
+/// copy.
 struct Observation {
   std::string fingerprint;
   std::vector<NodeId> nodes;
   std::vector<graph::Edge> edges;
+  std::vector<std::vector<std::pair<Symbol, NodeId>>> out_edges;
+  std::vector<std::vector<std::pair<NodeId, Symbol>>> in_edges;
 
   static Observation Of(const Instance& instance) {
-    return Observation{instance.Fingerprint(), instance.AllNodes(),
-                       instance.AllEdges()};
+    Observation o{instance.Fingerprint(), instance.AllNodes(),
+                  instance.AllEdges(), {}, {}};
+    for (NodeId node : o.nodes) {
+      const auto& out = instance.OutEdges(node);
+      const auto& in = instance.InEdges(node);
+      o.out_edges.emplace_back(out.begin(), out.end());
+      o.in_edges.emplace_back(in.begin(), in.end());
+    }
+    return o;
   }
 
   friend bool operator==(const Observation&, const Observation&) = default;
