@@ -36,11 +36,56 @@ void Instance::NoteEdgeRemovedStats(Symbol edge_label, Symbol source_label,
   decrement(&in_degree_sum_, StatsKey(edge_label, target_label));
 }
 
+void Instance::AppendRep(NodeRep rep) {
+  if (pages_.empty() || pages_.back()->nodes.size() == kPageSize) {
+    pages_.emplace_back();
+  }
+  pages_.back().Mutable().nodes.push_back(std::move(rep));
+}
+
+void Instance::IndexLabel(NodeId node, Symbol label) {
+  Page& page = MutablePage(node);
+  auto entry = std::find_if(page.by_label.begin(), page.by_label.end(),
+                            [&](const auto& e) { return e.first == label; });
+  if (entry == page.by_label.end()) {
+    page.by_label.emplace_back(label, std::vector<uint32_t>{node.id});
+  } else {
+    // New nodes land at the tail; only a revived node goes mid-list.
+    auto& ids = entry->second;
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), node.id), node.id);
+  }
+  ++label_count_[label];
+}
+
+void Instance::UnindexLabel(NodeId node, Symbol label) {
+  Page& page = MutablePage(node);
+  auto entry = std::find_if(page.by_label.begin(), page.by_label.end(),
+                            [&](const auto& e) { return e.first == label; });
+  auto& ids = entry->second;
+  ids.erase(std::lower_bound(ids.begin(), ids.end(), node.id));
+  if (ids.empty()) page.by_label.erase(entry);
+  auto count = label_count_.find(label);
+  if (--count->second == 0) label_count_.erase(count);
+}
+
+const Instance::PrintShard* Instance::FindPrintShard(Symbol label,
+                                                     const Value& value) const {
+  auto it = printable_index_.find(label);
+  if (it == printable_index_.end()) return nullptr;
+  const CowPtr<PrintShard>& shard = it->second[value.Hash() % kPrintShards];
+  return shard ? &*shard : nullptr;
+}
+
+Instance::PrintShard& Instance::MutablePrintShard(Symbol label,
+                                                  const Value& value) {
+  return printable_index_[label][value.Hash() % kPrintShards].Mutable();
+}
+
 NodeId Instance::NewNode(Symbol label, std::optional<Value> print) {
-  NodeId id{static_cast<uint32_t>(nodes_.size())};
-  nodes_.push_back(NodeRep{label, std::move(print), true, {}, {}});
+  NodeId id{static_cast<uint32_t>(NodeFrontier())};
+  AppendRep(NodeRep{label, std::move(print), true, {}, {}});
   ++num_alive_;
-  label_index_[label].insert(id.id);
+  IndexLabel(id, label);
   BumpStatsEpoch();
   MarkClassDirty(label);
   if (journal_.ptr != nullptr) journal_.ptr->RecordNodeAdded(id);
@@ -65,11 +110,11 @@ Result<NodeId> Instance::AddPrintableNode(const schema::Scheme& scheme,
         std::string(ValueKindToString(value.kind())) + " but domain of '" +
         SymName(label) + "' is " + std::string(ValueKindToString(domain)));
   }
-  auto& by_value = printable_index_[label];
-  auto it = by_value.find(value);
-  if (it != by_value.end()) return NodeId{it->second};
+  if (std::optional<NodeId> found = FindPrintable(label, value)) {
+    return *found;
+  }
   NodeId id = NewNode(label, value);
-  by_value.emplace(std::move(value), id.id);
+  MutablePrintShard(label, value).emplace(std::move(value), id.id);
   return id;
 }
 
@@ -85,11 +130,11 @@ Result<NodeId> Instance::AddValuelessPrintableNode(
 Result<NodeId> Instance::RestoreNodeAt(const schema::Scheme& scheme,
                                        NodeId id, Symbol label,
                                        std::optional<Value> print) {
-  if (id.id < nodes_.size()) {
+  if (id.id < NodeFrontier()) {
     return Status::InvalidArgument(
         "node #" + std::to_string(id.id) +
         " is below the allocation frontier (" +
-        std::to_string(nodes_.size()) +
+        std::to_string(NodeFrontier()) +
         ") — restore ids must be new and ascending");
   }
   if (print.has_value()) {
@@ -100,7 +145,7 @@ Result<NodeId> Instance::RestoreNodeAt(const schema::Scheme& scheme,
           std::string(ValueKindToString(print->kind())) + " but domain of '" +
           SymName(label) + "' is " + std::string(ValueKindToString(domain)));
     }
-    if (printable_index_[label].contains(*print)) {
+    if (FindPrintable(label, *print).has_value()) {
       return Status::InvalidArgument("printable (" + SymName(label) + ", " +
                                      print->ToString() +
                                      ") restored twice");
@@ -112,20 +157,19 @@ Result<NodeId> Instance::RestoreNodeAt(const schema::Scheme& scheme,
   }
   // Dead filler: invisible to every query (HasNode checks alive), never
   // revived (the undo journal only records nodes that were once alive).
-  while (nodes_.size() < id.id) {
-    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}});
-  }
+  ReserveNodeFrontier(id.id);
   std::optional<Value> dedup_key = print;
   NodeId got = NewNode(label, std::move(print));
   if (dedup_key.has_value()) {
-    printable_index_[label].emplace(std::move(*dedup_key), got.id);
+    MutablePrintShard(label, *dedup_key).emplace(std::move(*dedup_key),
+                                                 got.id);
   }
   return got;
 }
 
 void Instance::ReserveNodeFrontier(size_t frontier) {
-  while (nodes_.size() < frontier) {
-    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}});
+  while (NodeFrontier() < frontier) {
+    AppendRep(NodeRep{Symbol{}, std::nullopt, false, {}, {}});
   }
 }
 
@@ -138,6 +182,18 @@ void EraseFirst(std::vector<NodeId>* vec, NodeId value) {
 }
 
 }  // namespace
+
+void Instance::KillNode(NodeId node) {
+  NodeRep& rep = MutableRep(node);
+  rep.alive = false;
+  --num_alive_;
+  UnindexLabel(node, rep.label);
+  if (rep.print.has_value()) {
+    MutablePrintShard(rep.label, *rep.print).erase(*rep.print);
+  }
+  BumpStatsEpoch();
+  MarkClassDirty(rep.label);
+}
 
 Status Instance::RemoveNode(NodeId node) {
   if (!HasNode(node)) {
@@ -164,46 +220,39 @@ Status Instance::RemoveNode(NodeId node) {
     for (const auto& [source, label] : in) {
       GOOD_RETURN_NOT_OK(RemoveEdge(source, label, node));
     }
-    NodeRep& rep = nodes_[node.id];
-    rep.alive = false;
-    --num_alive_;
-    label_index_[rep.label].erase(node.id);
-    if (rep.print.has_value()) {
-      printable_index_[rep.label].erase(*rep.print);
-    }
-    BumpStatsEpoch();
-    MarkClassDirty(rep.label);
+    KillNode(node);
     journal_.ptr->RecordNodeKilled(node);
     return Status::OK();
   }
-  NodeRep& rep = nodes_[node.id];
+  // The node's own page is made unshared first, so the views below
+  // point into the page the loops write to (a neighbour on the same
+  // page then finds it already unshared and never re-clones it).
+  Page& page = MutablePage(node);
+  NodeRep& rep = page.nodes[node.id & kPageMask];
   // Detach incident edges from the neighbours' mirror lists. A self-loop
   // is removed here (it appears in the node's out-edges); the second
   // loop only sees the in-edges that survive this one.
   for (const auto& [label, target] : OutEdges(node)) {
-    EraseFirst(&nodes_[target.id].in_by_label[label], node);
-    edge_set_.erase(Edge{node, label, target});
+    Page& target_page = MutablePage(target);
+    EraseFirst(&target_page.nodes[target.id & kPageMask].in_by_label[label],
+               node);
+    page.edges.erase(Edge{node, label, target});
     --num_edges_;
-    NoteEdgeRemovedStats(label, rep.label, nodes_[target.id].label);
+    NoteEdgeRemovedStats(label, rep.label, LabelOf(target));
   }
   for (const auto& [source, label] : InEdges(node)) {
-    EraseFirst(&nodes_[source.id].out_by_label[label], node);
-    edge_set_.erase(Edge{source, label, node});
+    Page& source_page = MutablePage(source);
+    EraseFirst(&source_page.nodes[source.id & kPageMask].out_by_label[label],
+               node);
+    source_page.edges.erase(Edge{source, label, node});
     --num_edges_;
-    NoteEdgeRemovedStats(label, nodes_[source.id].label, rep.label);
+    NoteEdgeRemovedStats(label, LabelOf(source), rep.label);
     // The detached in-edge lived in the *source's* partition.
-    MarkClassDirty(nodes_[source.id].label);
+    MarkClassDirty(LabelOf(source));
   }
   rep.out_by_label.clear();
   rep.in_by_label.clear();
-  rep.alive = false;
-  --num_alive_;
-  label_index_[rep.label].erase(node.id);
-  if (rep.print.has_value()) {
-    printable_index_[rep.label].erase(*rep.print);
-  }
-  BumpStatsEpoch();
-  MarkClassDirty(rep.label);
+  KillNode(node);
   return Status::OK();
 }
 
@@ -234,15 +283,15 @@ Status Instance::AddEdge(const schema::Scheme& scheme, NodeId source,
           " would have unequal labels");
     }
   }
-  const bool fresh_out_entry =
-      journal_.ptr != nullptr &&
-      nodes_[source.id].out_by_label.Find(label) == nullptr;
-  const bool fresh_in_entry =
-      journal_.ptr != nullptr &&
-      nodes_[target.id].in_by_label.Find(label) == nullptr;
-  nodes_[source.id].out_by_label[label].push_back(target);
-  nodes_[target.id].in_by_label[label].push_back(source);
-  edge_set_.insert(Edge{source, label, target});
+  const bool fresh_out_entry = journal_.ptr != nullptr &&
+                               Rep(source).out_by_label.Find(label) == nullptr;
+  const bool fresh_in_entry = journal_.ptr != nullptr &&
+                              Rep(target).in_by_label.Find(label) == nullptr;
+  Page& source_page = MutablePage(source);
+  source_page.nodes[source.id & kPageMask].out_by_label[label].push_back(
+      target);
+  source_page.edges.insert(Edge{source, label, target});
+  MutableRep(target).in_by_label[label].push_back(source);
   ++num_edges_;
   NoteEdgeAddedStats(label, source_label, target_label);
   BumpStatsEpoch();
@@ -255,16 +304,19 @@ Status Instance::AddEdge(const schema::Scheme& scheme, NodeId source,
 }
 
 Status Instance::RemoveEdge(NodeId source, Symbol label, NodeId target) {
-  if (!HasNode(source) || !HasNode(target)) return Status::OK();
-  if (edge_set_.erase(Edge{source, label, target}) == 0) return Status::OK();
+  // An edge in the set has two alive endpoints.
+  if (!HasEdge(source, label, target)) return Status::OK();
   // Each erase records the position it vacates; the journal's undo
   // re-inserts there, so list orderings survive a rollback exactly.
   // (Edges are sets, so every find hits the unique occurrence.)
-  auto& out_list = nodes_[source.id].out_by_label[label];
+  Page& source_page = MutablePage(source);
+  source_page.edges.erase(Edge{source, label, target});
+  auto& out_list =
+      source_page.nodes[source.id & kPageMask].out_by_label[label];
   auto olit = std::find(out_list.begin(), out_list.end(), target);
   const auto out_label_pos = static_cast<uint32_t>(olit - out_list.begin());
   out_list.erase(olit);
-  auto& in_list = nodes_[target.id].in_by_label[label];
+  auto& in_list = MutableRep(target).in_by_label[label];
   auto ilit = std::find(in_list.begin(), in_list.end(), source);
   const auto in_label_pos = static_cast<uint32_t>(ilit - in_list.begin());
   in_list.erase(ilit);
@@ -281,16 +333,23 @@ Status Instance::RemoveEdge(NodeId source, Symbol label, NodeId target) {
 
 std::vector<NodeId> Instance::NodesWithLabel(Symbol label) const {
   std::vector<NodeId> out;
-  auto it = label_index_.find(label);
-  if (it == label_index_.end()) return out;
-  out.reserve(it->second.size());
-  for (uint32_t id : it->second) out.push_back(NodeId{id});
+  const size_t count = CountNodesWithLabel(label);
+  if (count == 0) return out;
+  out.reserve(count);
+  for (const CowPtr<Page>& page : pages_) {
+    for (const auto& [l, ids] : page->by_label) {
+      if (l != label) continue;
+      for (uint32_t id : ids) out.push_back(NodeId{id});
+      break;
+    }
+    if (out.size() == count) break;
+  }
   return out;
 }
 
 size_t Instance::CountNodesWithLabel(Symbol label) const {
-  auto it = label_index_.find(label);
-  return it == label_index_.end() ? 0 : it->second.size();
+  auto it = label_count_.find(label);
+  return it == label_count_.end() ? 0 : it->second;
 }
 
 size_t Instance::CountEdgesWithLabel(Symbol label) const {
@@ -324,18 +383,19 @@ double Instance::AvgInFanout(Symbol target_label, Symbol edge_label) const {
 
 std::optional<NodeId> Instance::FindPrintable(Symbol label,
                                               const Value& value) const {
-  auto it = printable_index_.find(label);
-  if (it == printable_index_.end()) return std::nullopt;
-  auto vit = it->second.find(value);
-  if (vit == it->second.end()) return std::nullopt;
-  return NodeId{vit->second};
+  const PrintShard* shard = FindPrintShard(label, value);
+  if (shard == nullptr) return std::nullopt;
+  auto it = shard->find(value);
+  if (it == shard->end()) return std::nullopt;
+  return NodeId{it->second};
 }
 
 std::vector<NodeId> Instance::AllNodes() const {
   std::vector<NodeId> out;
   out.reserve(num_alive_);
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].alive) out.push_back(NodeId{i});
+  const auto frontier = static_cast<uint32_t>(NodeFrontier());
+  for (uint32_t i = 0; i < frontier; ++i) {
+    if (Rep(NodeId{i}).alive) out.push_back(NodeId{i});
   }
   return out;
 }
@@ -351,7 +411,7 @@ const std::vector<NodeId>& EmptyAdjacency() {
 
 const std::vector<NodeId>& Instance::OutTargets(NodeId node,
                                                 Symbol label) const {
-  const auto* found = nodes_[node.id].out_by_label.Find(label);
+  const auto* found = Rep(node).out_by_label.Find(label);
   return found != nullptr ? *found : EmptyAdjacency();
 }
 
@@ -364,17 +424,16 @@ std::optional<NodeId> Instance::FunctionalTarget(NodeId node,
 
 const std::vector<NodeId>& Instance::InSources(NodeId node,
                                                Symbol label) const {
-  const auto* found = nodes_[node.id].in_by_label.Find(label);
+  const auto* found = Rep(node).in_by_label.Find(label);
   return found != nullptr ? *found : EmptyAdjacency();
 }
 
 std::vector<Edge> Instance::AllEdges() const {
   std::vector<Edge> out;
   out.reserve(num_edges_);
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].alive) continue;
-    for (const auto& [label, target] : OutEdges(NodeId{i})) {
-      out.push_back(Edge{NodeId{i}, label, target});
+  for (NodeId node : AllNodes()) {
+    for (const auto& [label, target] : OutEdges(node)) {
+      out.push_back(Edge{node, label, target});
     }
   }
   std::sort(out.begin(), out.end());
@@ -391,11 +450,9 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
   size_t in_entries = 0;
   std::unordered_map<Symbol, size_t> edge_label_census;
   std::unordered_map<uint64_t, size_t> out_sum_census, in_sum_census;
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    const NodeRep& rep = nodes_[i];
-    if (!rep.alive) continue;
-    const NodeId node{i};
-    const std::string node_name = "node #" + std::to_string(i);
+  for (NodeId node : AllNodes()) {
+    const NodeRep& rep = Rep(node);
+    const std::string node_name = "node #" + std::to_string(node.id);
     if (!scheme.IsNodeLabel(rep.label)) {
       return Status::Internal(node_name + " label '" + SymName(rep.label) +
                               "' not a node label of the scheme");
@@ -435,7 +492,7 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
         return Status::Internal(node_name + " has multiple functional '" +
                                 SymName(label) + "' edges");
       }
-      if (!edge_set_.contains(Edge{node, label, target})) {
+      if (!HasEdge(node, label, target)) {
         return Status::Internal(node_name + " edge missing from edge set");
       }
       const auto& sources = InSources(target, label);
@@ -450,41 +507,75 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
     }
     in_entries += InEdges(node).size();
   }
-  // Printable dedup.
-  for (const auto& [label, by_value] : printable_index_) {
-    for (const auto& [value, id] : by_value) {
-      (void)value;
-      if (!nodes_[id].alive) {
-        return Status::Internal("printable index points at dead node");
+  // Printable dedup: every index entry names an alive node carrying
+  // exactly that (label, value), sits in the shard its value hashes
+  // to, and the entries per label match the census.
+  for (const auto& [label, shards] : printable_index_) {
+    size_t indexed = 0;
+    for (size_t i = 0; i < kPrintShards; ++i) {
+      if (!shards[i]) continue;
+      for (const auto& [value, id] : *shards[i]) {
+        const NodeId node{id};
+        if (!HasNode(node) || LabelOf(node) != label ||
+            PrintValueOf(node) != value || value.Hash() % kPrintShards != i) {
+          return Status::Internal("printable index entry for '" +
+                                  SymName(label) +
+                                  "' names a dead, relabeled or misfiled node");
+        }
+        ++indexed;
       }
     }
-  }
-  for (const auto& [label, count] : printable_census) {
-    auto it = printable_index_.find(label);
-    size_t indexed = it == printable_index_.end() ? 0 : it->second.size();
-    if (indexed != count) {
+    auto census = printable_census.find(label);
+    if (indexed != (census == printable_census.end() ? 0 : census->second)) {
       return Status::Internal("duplicate printable nodes for label '" +
                               SymName(label) + "'");
     }
+    printable_census.erase(label);
   }
-  // Every out-entry sits in the edge set and has its in-list mirror;
-  // equal totals then rule out duplicate and stale entries on either
-  // side.
-  if (out_entries != num_edges_ || in_entries != num_edges_ ||
-      edge_set_.size() != num_edges_) {
-    return Status::Internal("edge count disagrees with edge set");
+  if (!printable_census.empty()) {
+    return Status::Internal("printable node missing from the printable index");
   }
-  // The label index must mirror the node census exactly.
+  // Every out-entry sits in its page's edge set and has its in-list
+  // mirror; equal totals then rule out duplicate and stale entries on
+  // either side. The page walk also checks the page layout (only the
+  // tail page is short) and the per-page label lists, which must
+  // mirror the node census exactly.
+  size_t shard_edges = 0;
   size_t indexed_nodes = 0;
-  for (const auto& [label, ids] : label_index_) {
-    indexed_nodes += ids.size();
-    for (uint32_t id : ids) {
-      if (id >= nodes_.size() || !nodes_[id].alive ||
-          nodes_[id].label != label) {
-        return Status::Internal("label index entry for '" + SymName(label) +
-                                "' names a dead or relabeled node");
+  std::unordered_map<Symbol, size_t> label_census;
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    const Page& page = *pages_[p];
+    if (page.nodes.empty() ||
+        (p + 1 < pages_.size() && page.nodes.size() != kPageSize)) {
+      return Status::Internal("page " + std::to_string(p) +
+                              " is short but not the tail page");
+    }
+    for (const Edge& edge : page.edges) {
+      if ((edge.source.id >> kPageBits) != p) {
+        return Status::Internal("edge filed on a page its source is not on");
       }
     }
+    shard_edges += page.edges.size();
+    for (const auto& [label, ids] : page.by_label) {
+      if (ids.empty() || !std::is_sorted(ids.begin(), ids.end()) ||
+          std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+        return Status::Internal("label list for '" + SymName(label) +
+                                "' is empty or out of order");
+      }
+      for (uint32_t id : ids) {
+        if ((id >> kPageBits) != p || !HasNode(NodeId{id}) ||
+            LabelOf(NodeId{id}) != label) {
+          return Status::Internal("label index entry for '" + SymName(label) +
+                                  "' names a dead or relabeled node");
+        }
+      }
+      indexed_nodes += ids.size();
+      label_census[label] += ids.size();
+    }
+  }
+  if (out_entries != num_edges_ || in_entries != num_edges_ ||
+      shard_edges != num_edges_) {
+    return Status::Internal("edge count disagrees with edge set");
   }
   if (indexed_nodes != num_alive_) {
     return Status::Internal("label index size disagrees with alive count");
@@ -502,6 +593,9 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
     }
     return true;
   };
+  if (!same_counts(label_count_, label_census)) {
+    return Status::Internal("label counts drifted from the label index");
+  }
   if (!same_counts(edge_label_count_, edge_label_census)) {
     return Status::Internal("edge-label count stats drifted from edge census");
   }

@@ -17,12 +17,11 @@
 #ifndef GOOD_GRAPH_INSTANCE_H_
 #define GOOD_GRAPH_INSTANCE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -35,6 +34,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "graph/cow_ptr.h"
 #include "schema/scheme.h"
 
 namespace good::graph {
@@ -170,9 +170,14 @@ using InEdgeView = EdgeView<std::pair<NodeId, Symbol>>;
 ///
 /// The instance does not own its scheme; mutators take the scheme as a
 /// parameter so that operations (which may extend the scheme) can pass
-/// the freshest version. Instances are value types — copying snapshots
-/// the whole graph, which the operational semantics relies on (all
-/// matchings are computed against the pre-state).
+/// the freshest version. Instances are value types with copy-on-write
+/// storage: a copy is an independent snapshot (the operational
+/// semantics computes all matchings against the pre-state), but it
+/// shares every page of nodes and every printable-index shard with its
+/// source until one side writes to it. Copying costs one pointer per
+/// page; a mutation clones only the page or shard it touches (see
+/// DESIGN.md, "Copy-on-write pages"). Copies may be read and destroyed
+/// on other threads while the source keeps mutating.
 class Instance {
  public:
   Instance() = default;
@@ -229,7 +234,11 @@ class Instance {
   /// The id the next node will be allocated (ids are never reused, so
   /// this only grows). Checkpoints persist it so a degraded load can
   /// reserve past ids it could not read.
-  size_t NodeFrontier() const { return nodes_.size(); }
+  size_t NodeFrontier() const {
+    return pages_.empty()
+               ? 0
+               : (pages_.size() - 1) * kPageSize + pages_.back()->nodes.size();
+  }
 
   /// Pads the node table with tombstones until NodeFrontier() >=
   /// `frontier`. Used by the checkpoint loader; no-op when already
@@ -255,23 +264,26 @@ class Instance {
   // ---- Node queries ----------------------------------------------------------
 
   bool HasNode(NodeId node) const {
-    return node.id < nodes_.size() && nodes_[node.id].alive;
+    if ((node.id >> kPageBits) >= pages_.size()) return false;
+    const std::vector<NodeRep>& nodes = PageOf(node).nodes;
+    const size_t slot = node.id & kPageMask;
+    return slot < nodes.size() && nodes[slot].alive;
   }
   /// Node label; NodeId must be alive.
-  Symbol LabelOf(NodeId node) const { return nodes_[node.id].label; }
+  Symbol LabelOf(NodeId node) const { return Rep(node).label; }
   /// Print value; empty for object nodes.
   const std::optional<Value>& PrintValueOf(NodeId node) const {
-    return nodes_[node.id].print;
+    return Rep(node).print;
   }
   /// True iff the node carries a print value. (Printable-ness of the
   /// label itself is a scheme question; a printable node may be
   /// valueless.)
-  bool HasPrintValue(NodeId node) const {
-    return nodes_[node.id].print.has_value();
-  }
+  bool HasPrintValue(NodeId node) const { return Rep(node).print.has_value(); }
 
-  /// All alive nodes with the given label, in ascending id order.
+  /// All alive nodes with the given label, in ascending id order:
+  /// the pages' per-label id lists, concatenated page by page.
   std::vector<NodeId> NodesWithLabel(Symbol label) const;
+  /// O(1): read from a per-label count map.
   size_t CountNodesWithLabel(Symbol label) const;
 
   /// The unique printable node (label, value), if present.
@@ -282,20 +294,21 @@ class Instance {
 
   // ---- Edge queries ----------------------------------------------------------
 
-  /// O(1) expected: backed by a whole-instance edge hash set.
+  /// O(1) expected: backed by the edge hash set of the source's page.
   bool HasEdge(NodeId source, Symbol label, NodeId target) const {
-    return edge_set_.contains(Edge{source, label, target});
+    return (source.id >> kPageBits) < pages_.size() &&
+           PageOf(source).edges.contains(Edge{source, label, target});
   }
 
   /// Outgoing edges of `node` as (edge label, target) pairs, grouped by
   /// label (see EdgeView for the order).
   OutEdgeView OutEdges(NodeId node) const {
-    return OutEdgeView(nodes_[node.id].out_by_label.entries);
+    return OutEdgeView(Rep(node).out_by_label.entries);
   }
   /// Incoming edges of `node` as (source, edge label) pairs, grouped by
   /// label (see EdgeView for the order).
   InEdgeView InEdges(NodeId node) const {
-    return InEdgeView(nodes_[node.id].in_by_label.entries);
+    return InEdgeView(Rep(node).in_by_label.entries);
   }
 
   /// Targets of `label`-edges leaving `node`. Index-backed: no scan over
@@ -430,6 +443,32 @@ class Instance {
     LabelAdjacency in_by_label;
   };
 
+  /// Copy-on-write storage unit: the nodes with ids
+  /// [i * kPageSize, (i + 1) * kPageSize) for page i, plus the indexes
+  /// that are local to them. Ids are dense and allocated at the tail,
+  /// so `id >> kPageBits` addresses a page and an insert touches only
+  /// the tail page.
+  struct Page {
+    // Slot `id & kPageMask`; only the tail page is ever short.
+    std::vector<NodeRep> nodes;
+    // Label -> the page's alive node ids carrying it, ascending. An
+    // entry is erased when its last id goes, so the list stays short.
+    std::vector<std::pair<Symbol, std::vector<uint32_t>>> by_label;
+    // The edges whose source lies on this page, for O(1) HasEdge.
+    std::unordered_set<Edge, EdgeHash> edges;
+  };
+
+  static constexpr uint32_t kPageBits = 6;
+  static constexpr uint32_t kPageSize = 1u << kPageBits;
+  static constexpr uint32_t kPageMask = kPageSize - 1;
+
+  /// One printable label's value -> node id index is split into this
+  /// many hash shards, each shared copy-on-write, so a new printable
+  /// clones 1/kPrintShards of its label's index.
+  static constexpr size_t kPrintShards = 256;
+  using PrintShard = std::unordered_map<Value, uint32_t>;
+  using PrintShards = std::array<CowPtr<PrintShard>, kPrintShards>;
+
   /// The journal attachment, with the copy and move rules documented on
   /// Instance's special members: a copy starts detached, a move
   /// transfers the pointer and detaches the source. Keeping the rule in
@@ -452,7 +491,36 @@ class Instance {
     }
   };
 
+  const Page& PageOf(NodeId node) const {
+    return *pages_[node.id >> kPageBits];
+  }
+  const NodeRep& Rep(NodeId node) const {
+    return PageOf(node).nodes[node.id & kPageMask];
+  }
+  /// The page holding `node`, cloned first iff another instance shares
+  /// it. Every write to a page goes through here (or AppendRep).
+  Page& MutablePage(NodeId node) {
+    return pages_[node.id >> kPageBits].Mutable();
+  }
+  NodeRep& MutableRep(NodeId node) {
+    return MutablePage(node).nodes[node.id & kPageMask];
+  }
+  /// Appends `rep` at the allocation frontier, opening a page when the
+  /// tail page is full.
+  void AppendRep(NodeRep rep);
+
+  /// Adds/removes `node` in its page's label list and the label count.
+  void IndexLabel(NodeId node, Symbol label);
+  void UnindexLabel(NodeId node, Symbol label);
+  /// The shard of `label`'s printable index that holds `value`; null
+  /// when the shard was never written.
+  const PrintShard* FindPrintShard(Symbol label, const Value& value) const;
+  PrintShard& MutablePrintShard(Symbol label, const Value& value);
+
   NodeId NewNode(Symbol label, std::optional<Value> print);
+  /// Marks an alive node dead and drops it from the label and printable
+  /// indexes; its rep (label, print value) stays for a journaled revive.
+  void KillNode(NodeId node);
 
   /// Draws the next process-globally unique stats epoch.
   static uint64_t NextStatsEpoch();
@@ -468,7 +536,8 @@ class Instance {
   void NoteEdgeRemovedStats(Symbol edge_label, Symbol source_label,
                             Symbol target_label);
 
-  std::vector<NodeRep> nodes_;
+  // Never null: AppendRep allocates each page as it opens it.
+  std::vector<CowPtr<Page>> pages_;
   size_t num_alive_ = 0;
   size_t num_edges_ = 0;
   // Cardinality statistics (see the accessor block above). Zero-valued
@@ -480,12 +549,10 @@ class Instance {
   // Classes whose partition content changed since the last checkpoint
   // (see the dirty-class accessor block above).
   std::unordered_set<Symbol> dirty_classes_;
-  // label -> alive node ids (ordered for deterministic iteration).
-  std::unordered_map<Symbol, std::set<uint32_t>> label_index_;
-  // printable label -> value -> node id.
-  std::unordered_map<Symbol, std::map<Value, uint32_t>> printable_index_;
-  // Every alive edge, for O(1) HasEdge.
-  std::unordered_set<Edge, EdgeHash> edge_set_;
+  // Label -> number of alive nodes carrying it; zero entries erased.
+  std::unordered_map<Symbol, size_t> label_count_;
+  // Printable label -> value -> node id, sharded (see PrintShards).
+  std::unordered_map<Symbol, PrintShards> printable_index_;
   // Inverse-mutation recorder; nullptr outside transactions. Not owned.
   JournalLink journal_;
 };

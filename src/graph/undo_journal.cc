@@ -28,30 +28,27 @@ void UndoJournal::RollbackTo(Instance* instance, Mark mark) {
   // recompiled, never wrong). Undos also dirty the touched classes for
   // the partitioned checkpointer: relative to the last checkpoint the
   // on-disk partition may still differ even after a rollback, and a
-  // spurious dirty mark only costs one extra partition rewrite.
+  // spurious dirty mark only costs one extra partition rewrite. Every
+  // undo writes through Instance::MutablePage, so rolling back an
+  // instance never disturbs the copies it shares pages with.
   while (entries_.size() > mark) {
     const Entry e = entries_.back();
     entries_.pop_back();
     switch (e.kind) {
       case Kind::kNodeAdded: {
-        // Node ids are allocated densely (NewNode uses nodes_.size()),
-        // and reverse replay reaches adds last-first, so the node being
-        // undone is always the allocation tail — popping it restores
-        // the id allocator too.
-        if (instance->nodes_.empty() ||
-            e.node.id != instance->nodes_.size() - 1) {
+        // Node ids are allocated densely at the frontier, and reverse
+        // replay reaches adds last-first, so the node being undone is
+        // always the allocation tail — popping it restores the id
+        // allocator too. A page the pop empties is dropped, so only the
+        // tail page is ever short.
+        const size_t frontier = instance->NodeFrontier();
+        if (frontier == 0 || e.node.id != frontier - 1) {
           AbortCorruptJournal("node-add undo target is not the tail node");
         }
-        Instance::NodeRep& rep = instance->nodes_.back();
-        instance->label_index_[rep.label].erase(e.node.id);
-        if (rep.print.has_value()) {
-          instance->printable_index_[rep.label].erase(*rep.print);
-        }
-        const Symbol undone_label = rep.label;
-        instance->nodes_.pop_back();
-        --instance->num_alive_;
-        instance->BumpStatsEpoch();
-        instance->MarkClassDirty(undone_label);
+        instance->KillNode(e.node);
+        Instance::Page& page = instance->MutablePage(e.node);
+        page.nodes.pop_back();
+        if (page.nodes.empty()) instance->pages_.pop_back();
         break;
       }
       case Kind::kNodeKilled: {
@@ -59,13 +56,13 @@ void UndoJournal::RollbackTo(Instance* instance, Mark mark) {
         // adjacency) — revive it and restore its index entries. Edges
         // were removed (and journaled) individually before the kill, so
         // their undos re-attach adjacency afterwards.
-        Instance::NodeRep& rep = instance->nodes_[e.node.id];
+        Instance::NodeRep& rep = instance->MutableRep(e.node);
         rep.alive = true;
         ++instance->num_alive_;
-        instance->label_index_[rep.label].insert(e.node.id);
+        instance->IndexLabel(e.node, rep.label);
         if (rep.print.has_value()) {
-          instance->printable_index_[rep.label].emplace(*rep.print,
-                                                        e.node.id);
+          instance->MutablePrintShard(rep.label, *rep.print)
+              .emplace(*rep.print, e.node.id);
         }
         instance->BumpStatsEpoch();
         instance->MarkClassDirty(rep.label);
@@ -73,42 +70,42 @@ void UndoJournal::RollbackTo(Instance* instance, Mark mark) {
       }
       case Kind::kEdgeAdded: {
         // The add appended to both lists, so the edge is at both tails.
-        auto& out_by_label = instance->nodes_[e.node.id].out_by_label;
+        instance->MutablePage(e.node).edges.erase(
+            Edge{e.node, e.label, e.target});
+        auto& out_by_label = instance->MutableRep(e.node).out_by_label;
         if (e.fresh_out_entry) {
           // The add created the per-label entry (at the entries tail).
           out_by_label.entries.pop_back();
         } else {
           out_by_label[e.label].pop_back();
         }
-        auto& in_by_label = instance->nodes_[e.target.id].in_by_label;
+        auto& in_by_label = instance->MutableRep(e.target).in_by_label;
         if (e.fresh_in_entry) {
           in_by_label.entries.pop_back();
         } else {
           in_by_label[e.label].pop_back();
         }
-        instance->edge_set_.erase(Edge{e.node, e.label, e.target});
         --instance->num_edges_;
-        instance->NoteEdgeRemovedStats(e.label,
-                                       instance->nodes_[e.node.id].label,
-                                       instance->nodes_[e.target.id].label);
+        instance->NoteEdgeRemovedStats(e.label, instance->LabelOf(e.node),
+                                       instance->LabelOf(e.target));
         instance->BumpStatsEpoch();
-        instance->MarkClassDirty(instance->nodes_[e.node.id].label);
+        instance->MarkClassDirty(instance->LabelOf(e.node));
         break;
       }
       case Kind::kEdgeRemoved: {
         // Positional re-insert: the recorded positions are valid
         // because the state now equals the post-removal state.
-        auto& out_list = instance->nodes_[e.node.id].out_by_label[e.label];
+        instance->MutablePage(e.node).edges.insert(
+            Edge{e.node, e.label, e.target});
+        auto& out_list = instance->MutableRep(e.node).out_by_label[e.label];
         out_list.insert(out_list.begin() + e.out_label_pos, e.target);
-        auto& in_list = instance->nodes_[e.target.id].in_by_label[e.label];
+        auto& in_list = instance->MutableRep(e.target).in_by_label[e.label];
         in_list.insert(in_list.begin() + e.in_label_pos, e.node);
-        instance->edge_set_.insert(Edge{e.node, e.label, e.target});
         ++instance->num_edges_;
-        instance->NoteEdgeAddedStats(e.label,
-                                     instance->nodes_[e.node.id].label,
-                                     instance->nodes_[e.target.id].label);
+        instance->NoteEdgeAddedStats(e.label, instance->LabelOf(e.node),
+                                     instance->LabelOf(e.target));
         instance->BumpStatsEpoch();
-        instance->MarkClassDirty(instance->nodes_[e.node.id].label);
+        instance->MarkClassDirty(instance->LabelOf(e.node));
         break;
       }
     }

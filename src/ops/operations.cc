@@ -97,6 +97,34 @@ Status MaterializePrintables(const Pattern& pattern,
   return Status::OK();
 }
 
+/// Figure 9's "if not exists": true iff some `label` node k already has
+/// FunctionalTarget(k, αᵢ) == key[i] for every bold edge αᵢ of `edges`.
+/// Such a k is an α-source of every key node, so it suffices to walk
+/// the sources of the key node with the fewest α-in-edges. A K-node
+/// created earlier in the same Apply has its edges already, so the
+/// probe sees it too.
+bool HasKNode(const Instance& instance, Symbol label,
+              const std::vector<std::pair<Symbol, NodeId>>& edges,
+              const std::vector<NodeId>& key) {
+  if (edges.empty()) return instance.CountNodesWithLabel(label) > 0;
+  size_t probe = 0;
+  for (size_t e = 1; e < edges.size(); ++e) {
+    if (instance.InDegree(key[e], edges[e].first) <
+        instance.InDegree(key[probe], edges[probe].first)) {
+      probe = e;
+    }
+  }
+  for (NodeId k : instance.InSources(key[probe], edges[probe].first)) {
+    if (instance.LabelOf(k) != label) continue;
+    bool same = true;
+    for (size_t e = 0; e < edges.size() && same; ++e) {
+      same = instance.FunctionalTarget(k, edges[e].first) == key[e];
+    }
+    if (same) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Result<std::vector<Matching>> PatternOperation::Matchings(
@@ -174,25 +202,6 @@ Status NodeAddition::Apply(Scheme* scheme, Instance* instance,
         scheme->EnsureTriple(new_label_, label, pattern_.LabelOf(node)));
   }
 
-  // -- Index the pre-existing K-nodes by their α-target tuples, so the
-  //    "if not exists" check of Figure 9 covers them.
-  std::map<std::vector<NodeId>, NodeId> by_targets;
-  for (NodeId k : instance->NodesWithLabel(new_label_)) {
-    std::vector<NodeId> key;
-    key.reserve(edges_.size());
-    bool complete = true;
-    for (const auto& [label, node] : edges_) {
-      (void)node;
-      auto target = instance->FunctionalTarget(k, label);
-      if (!target.has_value()) {
-        complete = false;
-        break;
-      }
-      key.push_back(*target);
-    }
-    if (complete) by_targets.emplace(std::move(key), k);
-  }
-
   local.matchings = matchings.size();
   // Keys are extracted per matching (parallelizable); the dedup-and-
   // create phase below stays serial in matching order, so fresh nodes
@@ -209,8 +218,8 @@ Status NodeAddition::Apply(Scheme* scheme, Instance* instance,
             }
             out->push_back(std::move(key));
           });
-  for (std::vector<NodeId>& key : keys) {
-    if (by_targets.contains(key)) continue;
+  for (const std::vector<NodeId>& key : keys) {
+    if (HasKNode(*instance, new_label_, edges_, key)) continue;
     GOOD_ASSIGN_OR_RETURN(NodeId fresh,
                           instance->AddObjectNode(*scheme, new_label_));
     ++local.nodes_added;
@@ -219,7 +228,6 @@ Status NodeAddition::Apply(Scheme* scheme, Instance* instance,
           instance->AddEdge(*scheme, fresh, edges_[e].first, key[e]));
       ++local.edges_added;
     }
-    by_targets.emplace(std::move(key), fresh);
   }
   if (stats != nullptr) *stats += local;
   txn.Commit();
@@ -461,18 +469,37 @@ Status Abstraction::Apply(Scheme* scheme, Instance* instance,
     classes[std::set<NodeId>(targets.begin(), targets.end())].insert(m);
   }
 
-  // -- Existing K-nodes already serving a class exactly make the
-  //    operation idempotent.
-  std::set<std::set<NodeId>> served;
-  for (NodeId k : instance->NodesWithLabel(set_label_)) {
-    std::vector<NodeId> members = instance->OutTargets(k, member_edge_);
-    served.insert(std::set<NodeId>(members.begin(), members.end()));
-  }
+  // -- An existing K-node already serving a class exactly makes the
+  //    operation idempotent for it. Such a node is a member-edge source
+  //    of every class member, so probing the member with the fewest
+  //    member in-edges finds it. Classes are disjoint and non-empty, so
+  //    a K-node created for one class never serves a later one.
+  auto served = [&](const std::set<NodeId>& members) {
+    NodeId probe = *members.begin();
+    for (NodeId m : members) {
+      if (instance->InDegree(m, member_edge_) <
+          instance->InDegree(probe, member_edge_)) {
+        probe = m;
+      }
+    }
+    for (NodeId k : instance->InSources(probe, member_edge_)) {
+      if (instance->LabelOf(k) != set_label_) continue;
+      const std::vector<NodeId>& targets =
+          instance->OutTargets(k, member_edge_);
+      // Edges are sets, so equal sizes plus inclusion is equality.
+      if (targets.size() == members.size() &&
+          std::all_of(targets.begin(), targets.end(),
+                      [&](NodeId t) { return members.contains(t); })) {
+        return true;
+      }
+    }
+    return false;
+  };
 
   local.matchings = matchings.size();
   for (const auto& [beta_set, members] : classes) {
     (void)beta_set;
-    if (served.contains(members)) continue;
+    if (served(members)) continue;
     GOOD_ASSIGN_OR_RETURN(NodeId fresh,
                           instance->AddObjectNode(*scheme, set_label_));
     ++local.nodes_added;

@@ -107,8 +107,9 @@ Status Session::EnsureWorking() {
 
 void Session::DiscardWorking() {
   if (txn_) {
-    // The copy is discarded whole; committing the scope just detaches
-    // and clears the journal without replaying inverse mutations.
+    // The copy is discarded whole (dropping its page references);
+    // committing the scope just detaches and clears the journal
+    // without replaying inverse mutations.
     txn_->Commit();
     txn_.reset();
   }

@@ -12,7 +12,9 @@
 ///  - **Writes** are buffered locally. Execute() runs each operation
 ///    against a private working copy of the snapshot under an undo
 ///    journal, so the session reads its own writes and collects the
-///    transaction's write footprint for free.
+///    transaction's write footprint for free. The working copy shares
+///    the snapshot's storage pages copy-on-write, so taking it costs a
+///    pointer per page and the preview clones only the pages it writes.
 ///  - **Commit** ships the buffered operations to the single-writer
 ///    CommitPipeline, which validates them first-committer-wins
 ///    against everything committed since the session's base snapshot,
@@ -248,7 +250,8 @@ class Session {
   Server* server_;
   method::ExecOptions exec_;
   VersionRef pinned_;
-  /// Engaged on first write: a private copy of the pinned snapshot.
+  /// Engaged on first write: a private copy of the pinned snapshot,
+  /// sharing its pages until a write clones the touched ones.
   std::unique_ptr<program::Database> working_;
   /// Outermost undo scope over `working_`; its journal accumulates
   /// every buffered operation's mutations (nested executor scopes keep

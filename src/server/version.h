@@ -8,8 +8,12 @@
 /// shared by `std::shared_ptr<const Version>`: pinning a snapshot is a
 /// refcount increment, an arbitrary number of readers share one copy,
 /// and a version is reclaimed the moment its last reader unpins it —
-/// the epoch-pinning scheme of the ISSUE without any explicit epoch
-/// bookkeeping.
+/// epoch pinning without any explicit epoch bookkeeping. Publishing a
+/// version copies the database, but an instance copy shares its
+/// storage pages copy-on-write with the committer's database
+/// (graph/instance.h): consecutive versions share every page the
+/// commits between them did not write, and reclaiming a version frees
+/// only the pages no newer version still holds.
 ///
 /// The VersionChain is the single point of publication. The commit
 /// pipeline publishes a new Version after each group-commit fsync;

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -456,6 +464,322 @@ TEST(InstanceStatsTest, JournalRollbackRestoresCountersWithFreshEpoch) {
   EXPECT_EQ(g.InDegreeSum(Sym("Doc"), Sym("refs")), in_before);
   EXPECT_GT(g.stats_epoch(), mid_epoch);
   EXPECT_TRUE(g.Validate(s).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Copy isolation: copies share storage until one side writes
+// ---------------------------------------------------------------------------
+
+// Doc nodes spanning several storage pages (ids 0..kDocs-1), each with
+// a title, a size and refs to far-away docs, plus Str/Num printables
+// and a few tags. Large enough that an edge's endpoints often sit on
+// different pages.
+constexpr uint32_t kDocs = 150;
+
+// The Str value "t<i>" (the title of doc i for i < kDocs).
+Value Title(uint32_t i) {
+  std::string title = "t";
+  title += std::to_string(i);
+  return Value(std::move(title));
+}
+
+Instance PagedInstance(const Scheme& s) {
+  Instance g;
+  std::vector<NodeId> docs;
+  for (uint32_t i = 0; i < kDocs; ++i) {
+    docs.push_back(*g.AddObjectNode(s, Sym("Doc")));
+  }
+  for (uint32_t i = 0; i < kDocs; ++i) {
+    NodeId title = *g.AddPrintableNode(s, Sym("Str"), Title(i));
+    g.AddEdge(s, docs[i], Sym("title"), title).OrDie();
+    NodeId size =
+        *g.AddPrintableNode(s, Sym("Num"), Value(static_cast<int>(i % 7)));
+    g.AddEdge(s, docs[i], Sym("size"), size).OrDie();
+    g.AddEdge(s, docs[i], Sym("refs"), docs[(i * 37 + 11) % kDocs]).OrDie();
+    g.AddEdge(s, docs[i], Sym("refs"), docs[(i + 97) % kDocs]).OrDie();
+  }
+  for (int t = 0; t < 3; ++t) {
+    NodeId tag = *g.AddObjectNode(s, Sym("Tag"));
+    for (uint32_t i = static_cast<uint32_t>(t); i < kDocs; i += 5) {
+      g.AddEdge(s, docs[i], Sym("tags"), tag).OrDie();
+    }
+  }
+  return g;
+}
+
+// Everything a reader can observe of an instance, rendered as text:
+// every node's label and print value, both edge sequences in internal
+// order, the label lists, printable lookups, the statistics accessors
+// and Validate. Edge membership is checked by ExpectEdgeMembership.
+std::string Observe(const Instance& g, const Scheme& s) {
+  const std::vector<Symbol> node_labels = {Sym("Doc"), Sym("Tag"), Sym("Str"),
+                                           Sym("Num")};
+  const std::vector<Symbol> edge_labels = {Sym("title"), Sym("size"),
+                                           Sym("refs"), Sym("tags")};
+  std::ostringstream os;
+  const auto frontier = static_cast<uint32_t>(g.NodeFrontier());
+  os << "frontier " << frontier << " nodes " << g.num_nodes() << " edges "
+     << g.num_edges() << " epoch " << g.stats_epoch() << "\n";
+  for (uint32_t i = 0; i < frontier; ++i) {
+    const NodeId n{i};
+    if (!g.HasNode(n)) continue;
+    os << "#" << i << " " << SymName(g.LabelOf(n));
+    if (g.HasPrintValue(n)) os << "=" << g.PrintValueOf(n)->ToString();
+    os << " out";
+    for (const auto& [label, target] : g.OutEdges(n)) {
+      os << " " << SymName(label) << ">" << target.id;
+    }
+    os << " in";
+    for (const auto& [source, label] : g.InEdges(n)) {
+      os << " " << source.id << ">" << SymName(label);
+    }
+    os << "\n";
+  }
+  for (Symbol label : node_labels) {
+    os << SymName(label) << " " << g.CountNodesWithLabel(label) << ":";
+    for (NodeId n : g.NodesWithLabel(label)) os << " " << n.id;
+    os << "\n";
+    for (Symbol edge : edge_labels) {
+      os << " " << g.OutDegreeSum(label, edge) << "/"
+         << g.InDegreeSum(label, edge);
+    }
+    os << "\n";
+  }
+  for (Symbol edge : edge_labels) os << g.CountEdgesWithLabel(edge) << " ";
+  os << "\nprintables";
+  for (uint32_t i = 0; i < kDocs + 80; ++i) {
+    auto str = g.FindPrintable(Sym("Str"), Title(i));
+    os << " " << (str ? static_cast<int64_t>(str->id) : -1);
+  }
+  for (int i = 0; i < 9; ++i) {
+    auto num = g.FindPrintable(Sym("Num"), Value(i));
+    os << " " << (num ? static_cast<int64_t>(num->id) : -1);
+  }
+  std::vector<Symbol> dirty(g.dirty_classes().begin(),
+                            g.dirty_classes().end());
+  std::sort(dirty.begin(), dirty.end(),
+            [](Symbol x, Symbol y) { return x.id < y.id; });
+  os << "\ndirty";
+  for (Symbol d : dirty) os << " " << SymName(d);
+  os << "\nvalidate " << g.Validate(s).ToString();
+  return os.str();
+}
+
+// The edges of both instances and their reverses.
+std::vector<Edge> EdgeProbes(const Instance& a, const Instance& b) {
+  std::vector<Edge> probes;
+  for (const Instance* g : {&a, &b}) {
+    for (const Edge& e : g->AllEdges()) {
+      probes.push_back(e);
+      probes.push_back(Edge{e.target, e.label, e.source});
+    }
+  }
+  return probes;
+}
+
+// HasEdge answers from `g`'s own edges only: true for each of them,
+// false for every other probe.
+void ExpectEdgeMembership(const Instance& g, const std::vector<Edge>& probes) {
+  const std::vector<Edge> own = g.AllEdges();
+  for (const Edge& e : probes) {
+    EXPECT_EQ(g.HasEdge(e.source, e.label, e.target),
+              std::binary_search(own.begin(), own.end(), e))
+        << e.source.id << " " << SymName(e.label) << " " << e.target.id;
+  }
+}
+
+struct Mutation {
+  const char* name;
+  std::function<void(const Scheme&, Instance*)> apply;
+};
+
+std::vector<Mutation> AllMutations() {
+  const NodeId near{3};
+  const NodeId far{kDocs - 5};
+  return {
+      {"object node",
+       [](const Scheme& s, Instance* g) {
+         (void)*g->AddObjectNode(s, Sym("Doc"));
+       }},
+      {"printable node",
+       [](const Scheme& s, Instance* g) {
+         (void)*g->AddPrintableNode(s, Sym("Str"), Title(kDocs + 3));
+       }},
+      {"valueless printable node",
+       [](const Scheme& s, Instance* g) {
+         (void)*g->AddValuelessPrintableNode(s, Sym("Str"));
+       }},
+      {"restore past a page",
+       [](const Scheme& s, Instance* g) {
+         const auto id = static_cast<uint32_t>(g->NodeFrontier() + 70);
+         g->RestoreNodeAt(s, NodeId{id}, Sym("Str"), Title(kDocs + 7))
+             .status()
+             .OrDie();
+       }},
+      {"reserve frontier",
+       [](const Scheme&, Instance* g) {
+         g->ReserveNodeFrontier(g->NodeFrontier() + 100);
+       }},
+      {"add edge across pages",
+       [=](const Scheme& s, Instance* g) {
+         g->AddEdge(s, near, Sym("refs"), far).OrDie();
+         g->AddEdge(s, far, Sym("refs"), near).OrDie();
+       }},
+      {"remove edge across pages",
+       [](const Scheme&, Instance* g) {
+         // Doc 10 refs doc 107, far enough away to sit on another page.
+         g->RemoveEdge(NodeId{10}, Sym("refs"), NodeId{107}).OrDie();
+       }},
+      {"remove node",
+       [=](const Scheme&, Instance* g) { g->RemoveNode(far).OrDie(); }},
+      {"remove node journaled",
+       [=](const Scheme&, Instance* g) {
+         UndoJournal journal;
+         g->AttachJournal(&journal);
+         g->RemoveNode(far).OrDie();
+         g->DetachJournal();
+       }},
+      {"undo rollback",
+       [=](const Scheme& s, Instance* g) {
+         // Rollback to the middle of a journal: the undone suffix
+         // writes to pages that the copy still shares.
+         UndoJournal journal;
+         g->AttachJournal(&journal);
+         g->RemoveNode(near).OrDie();
+         const UndoJournal::Mark mark = journal.Position();
+         NodeId fresh = *g->AddObjectNode(s, Sym("Doc"));
+         g->AddEdge(s, fresh, Sym("refs"), far).OrDie();
+         g->RemoveNode(far).OrDie();
+         (void)*g->AddPrintableNode(s, Sym("Num"), Value(8));
+         journal.RollbackTo(g, mark);
+         g->DetachJournal();
+       }},
+  };
+}
+
+TEST(CopyIsolationTest, MutatingTheCopyLeavesTheSourceUnchanged) {
+  const Scheme s = TestScheme();
+  for (const Mutation& m : AllMutations()) {
+    SCOPED_TRACE(m.name);
+    const Instance source = PagedInstance(s);
+    const std::string before = Observe(source, s);
+    Instance copy = source;
+    EXPECT_EQ(Observe(copy, s), before);
+    m.apply(s, &copy);
+    EXPECT_NE(Observe(copy, s), before);
+    EXPECT_TRUE(copy.Validate(s).ok());
+    EXPECT_EQ(Observe(source, s), before);
+    const std::vector<Edge> probes = EdgeProbes(source, copy);
+    ExpectEdgeMembership(source, probes);
+    ExpectEdgeMembership(copy, probes);
+  }
+}
+
+TEST(CopyIsolationTest, MutatingTheSourceLeavesTheCopyUnchanged) {
+  const Scheme s = TestScheme();
+  for (const Mutation& m : AllMutations()) {
+    SCOPED_TRACE(m.name);
+    Instance source = PagedInstance(s);
+    const Instance copy = source;
+    const std::string before = Observe(copy, s);
+    m.apply(s, &source);
+    EXPECT_NE(Observe(source, s), before);
+    EXPECT_TRUE(source.Validate(s).ok());
+    EXPECT_EQ(Observe(copy, s), before);
+    const std::vector<Edge> probes = EdgeProbes(source, copy);
+    ExpectEdgeMembership(source, probes);
+    ExpectEdgeMembership(copy, probes);
+  }
+}
+
+TEST(CopyIsolationTest, RollbackOfTheSourceLeavesACopyOfItsPostState) {
+  // The copy is taken mid-transaction (and starts un-journaled); the
+  // source's rollback must not reach the pages the two share.
+  const Scheme s = TestScheme();
+  Instance source = PagedInstance(s);
+  const std::string start = Observe(source, s);
+  UndoJournal journal;
+  source.AttachJournal(&journal);
+  NodeId fresh = *source.AddObjectNode(s, Sym("Doc"));
+  source.AddEdge(s, fresh, Sym("refs"), NodeId{1}).OrDie();
+  source.RemoveNode(NodeId{kDocs - 1}).OrDie();
+  source.RemoveEdge(NodeId{10}, Sym("tags"),
+                    source.OutTargets(NodeId{10}, Sym("tags")).front())
+      .OrDie();
+  const Instance copy = source;
+  const std::string mid = Observe(copy, s);
+  journal.Rollback(&source);
+  source.DetachJournal();
+  EXPECT_EQ(Observe(copy, s), mid);
+  EXPECT_TRUE(copy.Validate(s).ok());
+  const std::vector<Edge> probes = EdgeProbes(source, copy);
+  ExpectEdgeMembership(source, probes);
+  ExpectEdgeMembership(copy, probes);
+  // The rolled-back source equals the start up to its stats epoch.
+  const std::string back = Observe(source, s);
+  EXPECT_EQ(back.substr(back.find('\n')), start.substr(start.find('\n')));
+}
+
+TEST(CopyIsolationTest, ReadersOfPublishedCopiesRaceTheOwner) {
+  // The owner keeps mutating its instance and publishing copies; four
+  // readers count and validate whatever copy is current, and copy and
+  // drop it, so page counts change on every thread at once.
+  const Scheme s = TestScheme();
+  struct Published {
+    Instance instance;
+    size_t docs;
+    size_t edges;
+  };
+  Instance owner = PagedInstance(s);
+  std::mutex mu;
+  auto publish = [&] {
+    return std::make_shared<const Published>(Published{
+        owner, owner.CountNodesWithLabel(Sym("Doc")), owner.num_edges()});
+  };
+  std::shared_ptr<const Published> current = publish();
+  std::atomic<bool> done{false};
+  std::atomic<size_t> failures{0};
+  std::atomic<size_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::shared_ptr<const Published> p;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          p = current;
+        }
+        const Instance local = p->instance;
+        if (local.NodesWithLabel(Sym("Doc")).size() != p->docs ||
+            local.AllEdges().size() != p->edges ||
+            !p->instance.Validate(s).ok()) {
+          failures.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  std::vector<NodeId> added;
+  for (uint32_t round = 0; round < 200; ++round) {
+    NodeId doc = *owner.AddObjectNode(s, Sym("Doc"));
+    owner.AddEdge(s, doc, Sym("refs"), NodeId{round % kDocs}).OrDie();
+    owner.AddEdge(s, NodeId{(round * 7) % kDocs}, Sym("refs"), doc).OrDie();
+    added.push_back(doc);
+    if (round % 3 == 2) {
+      owner.RemoveNode(added.front()).OrDie();
+      added.erase(added.begin());
+    }
+    auto next = publish();
+    std::lock_guard<std::mutex> lock(mu);
+    current = std::move(next);
+  }
+  // Let every reader see the final copy at least once.
+  const size_t seen = reads.load();
+  while (reads.load() < seen + 8) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_TRUE(owner.Validate(s).ok());
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "graph/instance.h"
 #include "ops/operations.h"
 #include "pattern/builder.h"
@@ -484,6 +490,251 @@ TEST(DeterminismTest, TwoRunsAreIsomorphic) {
   na2.Apply(&db2.scheme, &db2.instance).OrDie();
 
   EXPECT_EQ(db1.instance.Fingerprint(), db2.instance.Fingerprint());
+}
+
+// ---------------------------------------------------------------------------
+// NA/AB dedup differential: the index probes against the full-scan rule
+// ---------------------------------------------------------------------------
+
+// Doc nodes with Str titles and refs; K-nodes keyed by (of: Doc, by:
+// Str); Other nodes that share the α-labels `of`, `by` and the member
+// label `mem` without being K or Set nodes.
+Scheme DedupScheme() {
+  Scheme s = DocScheme();
+  for (const char* label : {"K", "Other", "Set", "Z"}) {
+    s.AddObjectLabel(Sym(label)).OrDie();
+  }
+  s.AddFunctionalEdgeLabel(Sym("of")).OrDie();
+  s.AddFunctionalEdgeLabel(Sym("by")).OrDie();
+  s.AddFunctionalEdgeLabel(Sym("extra")).OrDie();
+  s.AddMultivaluedEdgeLabel(Sym("mem")).OrDie();
+  for (const char* source : {"K", "Other"}) {
+    s.AddTriple(Sym(source), Sym("of"), Sym("Doc")).OrDie();
+    s.AddTriple(Sym(source), Sym("by"), Sym("Str")).OrDie();
+  }
+  s.AddTriple(Sym("K"), Sym("extra"), Sym("Doc")).OrDie();
+  s.AddTriple(Sym("Set"), Sym("mem"), Sym("Doc")).OrDie();
+  s.AddTriple(Sym("Other"), Sym("mem"), Sym("Doc")).OrDie();
+  return s;
+}
+
+// A seeded instance holding every case the dedup probes must get
+// right: complete, partial and over-complete K-nodes, Other nodes
+// carrying a K key or a Set member set exactly, Set nodes serving a
+// class, a subset or a superset of one, and (on odd seeds) a Z node.
+Instance DedupInstance(const Scheme& scheme, uint32_t seed) {
+  std::mt19937 rng(seed);
+  auto below = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  Instance g;
+  std::vector<NodeId> docs, strs;
+  const size_t num_docs = 6 + below(10);
+  for (size_t i = 0; i < num_docs; ++i) {
+    docs.push_back(*g.AddObjectNode(scheme, Sym("Doc")));
+  }
+  const char* const titles[] = {"s0", "s1", "s2", "s3", "s4"};
+  const size_t num_titles = 3 + below(3);
+  for (size_t i = 0; i < num_titles; ++i) {
+    strs.push_back(*g.AddPrintableNode(scheme, Sym("Str"), Value(titles[i])));
+  }
+  for (NodeId d : docs) {
+    if (below(4) != 0) {
+      g.AddEdge(scheme, d, Sym("title"), strs[below(strs.size())]).OrDie();
+    }
+    for (size_t r = below(4); r > 0; --r) {
+      g.AddEdge(scheme, d, Sym("refs"), docs[below(docs.size())]).OrDie();
+    }
+  }
+  auto doc = [&] { return docs[below(docs.size())]; };
+  auto str = [&] { return strs[below(strs.size())]; };
+  auto keyed = [&](const char* label, bool of, bool by) {
+    NodeId k = *g.AddObjectNode(scheme, Sym(label));
+    if (of) g.AddEdge(scheme, k, Sym("of"), doc()).OrDie();
+    if (by) g.AddEdge(scheme, k, Sym("by"), str()).OrDie();
+    return k;
+  };
+  for (size_t i = below(4); i > 0; --i) keyed("K", true, true);
+  for (size_t i = below(3); i > 0; --i) keyed("K", true, false);
+  for (size_t i = below(3); i > 0; --i) keyed("K", false, true);
+  for (size_t i = below(3); i > 0; --i) {
+    NodeId k = keyed("K", true, true);
+    g.AddEdge(scheme, k, Sym("extra"), doc()).OrDie();
+  }
+  // An Other node carrying exactly the key of a titled doc with refs.
+  for (NodeId d : docs) {
+    auto title = g.FunctionalTarget(d, Sym("title"));
+    if (title.has_value() && g.OutDegree(d, Sym("refs")) > 0) {
+      NodeId o = *g.AddObjectNode(scheme, Sym("Other"));
+      g.AddEdge(scheme, o, Sym("of"), d).OrDie();
+      g.AddEdge(scheme, o, Sym("by"), *title).OrDie();
+      break;
+    }
+  }
+  for (size_t i = below(3); i > 0; --i) keyed("Other", true, true);
+  // Member sets: the refs-classes of some docs, exactly, as a subset
+  // or as a superset, from Set and from Other nodes.
+  for (size_t i = 2 + below(4); i > 0; --i) {
+    const NodeId d = doc();
+    std::set<NodeId> refs;
+    for (NodeId t : g.OutTargets(d, Sym("refs"))) refs.insert(t);
+    std::set<NodeId> members;
+    for (NodeId m : docs) {
+      std::set<NodeId> m_refs;
+      for (NodeId t : g.OutTargets(m, Sym("refs"))) m_refs.insert(t);
+      if (m_refs == refs) members.insert(m);
+    }
+    const size_t shape = below(4);
+    if (shape == 1 && members.size() > 1) members.erase(members.begin());
+    if (shape == 2) members.insert(doc());
+    NodeId s = *g.AddObjectNode(scheme, Sym(shape == 3 ? "Other" : "Set"));
+    for (NodeId m : members) g.AddEdge(scheme, s, Sym("mem"), m).OrDie();
+  }
+  if (seed % 2 == 1) g.AddObjectNode(scheme, Sym("Z")).ValueOrDie();
+  return g;
+}
+
+// The full-scan rule of Figure 9, applied serially: index every
+// complete K-node by its α-targets, then add one K-node per new key in
+// matching order.
+void ReferenceNodeAddition(const Scheme& scheme, const Pattern& pattern,
+                           Symbol new_label,
+                           const std::vector<std::pair<Symbol, NodeId>>& edges,
+                           Instance* g) {
+  std::map<std::vector<NodeId>, NodeId> by_targets;
+  for (NodeId k : g->NodesWithLabel(new_label)) {
+    std::vector<NodeId> key;
+    for (const auto& [label, node] : edges) {
+      (void)node;
+      auto target = g->FunctionalTarget(k, label);
+      if (!target.has_value()) break;
+      key.push_back(*target);
+    }
+    if (key.size() == edges.size()) by_targets.emplace(key, k);
+  }
+  const std::vector<pattern::Matching> matchings =
+      pattern::Matcher(pattern, *g).FindAllChecked().ValueOrDie();
+  for (const pattern::Matching& m : matchings) {
+    std::vector<NodeId> key;
+    for (const auto& [label, node] : edges) {
+      (void)label;
+      key.push_back(m.At(node));
+    }
+    if (by_targets.contains(key)) continue;
+    NodeId fresh = *g->AddObjectNode(scheme, new_label);
+    for (size_t e = 0; e < edges.size(); ++e) {
+      g->AddEdge(scheme, fresh, edges[e].first, key[e]).OrDie();
+    }
+    by_targets.emplace(key, fresh);
+  }
+}
+
+// The full-scan abstraction rule: a class is served iff some existing
+// set-labeled node's member set equals it.
+void ReferenceAbstraction(const Scheme& scheme, const Pattern& pattern,
+                          NodeId node, Symbol set_label, Symbol member_edge,
+                          Symbol grouping_edge, Instance* g) {
+  std::set<NodeId> matched;
+  const std::vector<pattern::Matching> matchings =
+      pattern::Matcher(pattern, *g).FindAllChecked().ValueOrDie();
+  for (const pattern::Matching& m : matchings) {
+    matched.insert(m.At(node));
+  }
+  std::map<std::set<NodeId>, std::set<NodeId>> classes;
+  for (NodeId m : matched) {
+    const auto& targets = g->OutTargets(m, grouping_edge);
+    classes[std::set<NodeId>(targets.begin(), targets.end())].insert(m);
+  }
+  std::set<std::set<NodeId>> served;
+  for (NodeId k : g->NodesWithLabel(set_label)) {
+    const auto& members = g->OutTargets(k, member_edge);
+    served.insert(std::set<NodeId>(members.begin(), members.end()));
+  }
+  for (const auto& [beta, members] : classes) {
+    (void)beta;
+    if (served.contains(members)) continue;
+    NodeId fresh = *g->AddObjectNode(scheme, set_label);
+    for (NodeId m : members) {
+      g->AddEdge(scheme, fresh, member_edge, m).OrDie();
+    }
+  }
+}
+
+void ExpectSameInstance(const Instance& got, const Instance& want) {
+  ASSERT_EQ(got.NodeFrontier(), want.NodeFrontier());
+  for (NodeId n : want.AllNodes()) {
+    ASSERT_TRUE(got.HasNode(n));
+    EXPECT_EQ(got.LabelOf(n), want.LabelOf(n)) << "node #" << n.id;
+  }
+  EXPECT_EQ(got.num_nodes(), want.num_nodes());
+  EXPECT_EQ(got.AllEdges(), want.AllEdges());
+}
+
+TEST(DedupDifferentialTest, ProbedNodeAdditionMatchesFullScan) {
+  const Scheme base_scheme = DedupScheme();
+  size_t added = 0, skipped = 0;
+  for (uint32_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Instance base = DedupInstance(base_scheme, seed);
+    // (of, by) keys, repeated within the batch once per refs edge of a
+    // titled doc; the single-key (of) variant; and the zero-edge
+    // designator.
+    GraphBuilder pair(base_scheme);
+    NodeId d = pair.Object("Doc");
+    NodeId s = pair.Printable("Str");
+    NodeId e = pair.Object("Doc");
+    pair.Edge(d, "title", s).Edge(d, "refs", e);
+    GraphBuilder single(base_scheme);
+    NodeId sd = single.Object("Doc");
+    GraphBuilder empty(base_scheme);
+    empty.Object("Doc");
+    struct Case {
+      Pattern pattern;
+      Symbol label;
+      std::vector<std::pair<Symbol, NodeId>> edges;
+    };
+    std::vector<Case> cases;
+    cases.push_back({pair.BuildOrDie(), Sym("K"),
+                     {{Sym("of"), d}, {Sym("by"), s}}});
+    cases.push_back({single.BuildOrDie(), Sym("K"), {{Sym("of"), sd}}});
+    cases.push_back({empty.BuildOrDie(), Sym("Z"), {}});
+    for (const Case& c : cases) {
+      Scheme scheme = base_scheme;
+      Instance got = base;
+      Instance want = base;
+      ASSERT_TRUE(NodeAddition(c.pattern, c.label, c.edges)
+                      .Apply(&scheme, &got)
+                      .ok());
+      ReferenceNodeAddition(base_scheme, c.pattern, c.label, c.edges, &want);
+      ExpectSameInstance(got, want);
+      EXPECT_TRUE(got.Validate(scheme).ok());
+      const size_t fresh = got.NodeFrontier() - base.NodeFrontier();
+      added += fresh;
+      skipped += fresh == 0 ? 1 : 0;
+    }
+  }
+  // The sweep exercises both outcomes.
+  EXPECT_GT(added, 0u);
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST(DedupDifferentialTest, ProbedAbstractionMatchesFullScan) {
+  const Scheme base_scheme = DedupScheme();
+  for (uint32_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Instance base = DedupInstance(base_scheme, seed);
+    GraphBuilder b(base_scheme);
+    NodeId doc = b.Object("Doc");
+    const Pattern pattern = b.BuildOrDie();
+    Scheme scheme = base_scheme;
+    Instance got = base;
+    Instance want = base;
+    ASSERT_TRUE(Abstraction(pattern, doc, Sym("Set"), Sym("mem"), Sym("refs"))
+                    .Apply(&scheme, &got)
+                    .ok());
+    ReferenceAbstraction(base_scheme, pattern, doc, Sym("Set"), Sym("mem"),
+                         Sym("refs"), &want);
+    ExpectSameInstance(got, want);
+    EXPECT_TRUE(got.Validate(scheme).ok());
+  }
 }
 
 }  // namespace
