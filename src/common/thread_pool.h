@@ -9,10 +9,10 @@
 /// blocks until every item has completed, which doubles as the
 /// happens-before edge making all worker writes visible to the caller.
 ///
-/// The pool is the engine behind the parallel pattern matcher and the
-/// parallel bulk-application paths in ops — both partition their work
-/// into chunks whose outputs are merged in chunk order, so results are
-/// deterministic regardless of which worker ran which chunk.
+/// The pool is the engine behind the parallel pattern matcher, which
+/// partitions its depth-0 candidates into chunks whose outputs are
+/// merged in chunk order, so results are deterministic regardless of
+/// which worker ran which chunk.
 
 #ifndef GOOD_COMMON_THREAD_POOL_H_
 #define GOOD_COMMON_THREAD_POOL_H_

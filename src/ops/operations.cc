@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "ops/transaction.h"
 
 namespace good::ops {
@@ -17,51 +16,6 @@ using pattern::Matching;
 using schema::Scheme;
 
 namespace {
-
-/// Partition-and-merge designator extraction: runs
-/// `extract(matching, &out)` for every matching. With worker threads
-/// configured and a matching list at least `threshold` long, the list
-/// is partitioned into chunks processed concurrently, and the
-/// per-chunk outputs are concatenated in chunk order — so the returned
-/// sequence is exactly what the serial loop produces, and every
-/// downstream consumer (dedup maps, consistency checks, mutation loops)
-/// behaves identically. Extraction only reads the matchings, so chunks
-/// are trivially independent.
-template <typename T, typename Extract>
-std::vector<T> ExtractPerMatching(const std::vector<Matching>& matchings,
-                                  size_t num_threads, size_t threshold,
-                                  const Extract& extract) {
-  std::vector<T> out;
-  if (num_threads == 0 || matchings.size() < std::max<size_t>(threshold, 2)) {
-    for (const Matching& matching : matchings) extract(matching, &out);
-    return out;
-  }
-  const size_t workers = std::min(num_threads, matchings.size());
-  // ~4 chunks per worker: slack for load balancing without fragmenting
-  // the ordered merge.
-  const size_t chunk_size = std::max<size_t>(
-      1, (matchings.size() + workers * 4 - 1) / (workers * 4));
-  const size_t num_chunks = (matchings.size() + chunk_size - 1) / chunk_size;
-  std::vector<std::vector<T>> chunk_out(num_chunks);
-  {
-    common::ThreadPool pool(workers);
-    pool.ParallelFor(num_chunks, [&](size_t worker, size_t chunk) {
-      (void)worker;
-      const size_t begin = chunk * chunk_size;
-      const size_t end = std::min(matchings.size(), begin + chunk_size);
-      for (size_t i = begin; i < end; ++i) {
-        extract(matchings[i], &chunk_out[chunk]);
-      }
-    });
-  }
-  size_t total = 0;
-  for (const std::vector<T>& chunk : chunk_out) total += chunk.size();
-  out.reserve(total);
-  for (std::vector<T>& chunk : chunk_out) {
-    std::move(chunk.begin(), chunk.end(), std::back_inserter(out));
-  }
-  return out;
-}
 
 /// Checks that every pattern node referenced by an operation designator
 /// actually belongs to the pattern.
@@ -203,22 +157,13 @@ Status NodeAddition::Apply(Scheme* scheme, Instance* instance,
   }
 
   local.matchings = matchings.size();
-  // Keys are extracted per matching (parallelizable); the dedup-and-
-  // create phase below stays serial in matching order, so fresh nodes
-  // get the same ids a serial application assigns.
-  std::vector<std::vector<NodeId>> keys =
-      ExtractPerMatching<std::vector<NodeId>>(
-          matchings, num_threads_, parallel_threshold_,
-          [&](const Matching& matching, std::vector<std::vector<NodeId>>* out) {
-            std::vector<NodeId> key;
-            key.reserve(edges_.size());
-            for (const auto& [label, node] : edges_) {
-              (void)label;
-              key.push_back(matching.At(node));
-            }
-            out->push_back(std::move(key));
-          });
-  for (const std::vector<NodeId>& key : keys) {
+  // Dedup and create in matching order, so fresh node ids follow the
+  // matching sequence.
+  std::vector<NodeId> key(edges_.size());
+  for (const Matching& matching : matchings) {
+    for (size_t e = 0; e < edges_.size(); ++e) {
+      key[e] = matching.At(edges_[e].second);
+    }
     if (HasKNode(*instance, new_label_, edges_, key)) continue;
     GOOD_ASSIGN_OR_RETURN(NodeId fresh,
                           instance->AddObjectNode(*scheme, new_label_));
@@ -282,18 +227,14 @@ Status EdgeAddition::Apply(Scheme* scheme, Instance* instance,
   }
 
   // -- Gather the full edge set to add, then run the consistency check
-  //    of Section 3.2 before mutating anything (atomicity). The set
-  //    insertion canonicalizes order, so parallel extraction cannot
-  //    change the outcome.
-  std::vector<graph::Edge> extracted = ExtractPerMatching<graph::Edge>(
-      matchings, num_threads_, parallel_threshold_,
-      [&](const Matching& matching, std::vector<graph::Edge>* out) {
-        for (const EdgeSpec& spec : edges_) {
-          out->push_back(graph::Edge{matching.At(spec.source), spec.label,
-                                     matching.At(spec.target)});
-        }
-      });
-  std::set<graph::Edge> to_add(extracted.begin(), extracted.end());
+  //    of Section 3.2 before mutating anything (atomicity).
+  std::set<graph::Edge> to_add;
+  for (const Matching& matching : matchings) {
+    for (const EdgeSpec& spec : edges_) {
+      to_add.insert(graph::Edge{matching.At(spec.source), spec.label,
+                                matching.At(spec.target)});
+    }
+  }
 
   // Per (source node, label): collect distinct targets (new and old).
   std::map<std::pair<NodeId, Symbol>, std::set<NodeId>> targets;
@@ -351,12 +292,10 @@ Status NodeDeletion::Apply(Scheme* scheme, Instance* instance,
   ApplyStats local;
   GOOD_ASSIGN_OR_RETURN(std::vector<Matching> matchings,
                         Matchings(*instance, &local.match, deadline));
-  std::vector<NodeId> images = ExtractPerMatching<NodeId>(
-      matchings, num_threads_, parallel_threshold_,
-      [&](const Matching& matching, std::vector<NodeId>* out) {
-        out->push_back(matching.At(target_));
-      });
-  std::set<NodeId> doomed(images.begin(), images.end());
+  std::set<NodeId> doomed;
+  for (const Matching& matching : matchings) {
+    doomed.insert(matching.At(target_));
+  }
 
   local.matchings = matchings.size();
   for (NodeId node : doomed) {
@@ -397,15 +336,13 @@ Status EdgeDeletion::Apply(Scheme* scheme, Instance* instance,
   ApplyStats local;
   GOOD_ASSIGN_OR_RETURN(std::vector<Matching> matchings,
                         Matchings(*instance, &local.match, deadline));
-  std::vector<graph::Edge> extracted = ExtractPerMatching<graph::Edge>(
-      matchings, num_threads_, parallel_threshold_,
-      [&](const Matching& matching, std::vector<graph::Edge>* out) {
-        for (const EdgeRef& ref : edges_) {
-          out->push_back(graph::Edge{matching.At(ref.source), ref.label,
-                                     matching.At(ref.target)});
-        }
-      });
-  std::set<graph::Edge> doomed(extracted.begin(), extracted.end());
+  std::set<graph::Edge> doomed;
+  for (const Matching& matching : matchings) {
+    for (const EdgeRef& ref : edges_) {
+      doomed.insert(graph::Edge{matching.At(ref.source), ref.label,
+                                matching.At(ref.target)});
+    }
+  }
 
   local.matchings = matchings.size();
   for (const graph::Edge& edge : doomed) {
@@ -457,12 +394,8 @@ Status Abstraction::Apply(Scheme* scheme, Instance* instance,
       scheme->EnsureTriple(set_label_, member_edge_, pattern_.LabelOf(node_)));
 
   // -- Group the distinct matched nodes by β-successor set (pre-state).
-  std::vector<NodeId> images = ExtractPerMatching<NodeId>(
-      matchings, num_threads_, parallel_threshold_,
-      [&](const Matching& matching, std::vector<NodeId>* out) {
-        out->push_back(matching.At(node_));
-      });
-  std::set<NodeId> matched(images.begin(), images.end());
+  std::set<NodeId> matched;
+  for (const Matching& matching : matchings) matched.insert(matching.At(node_));
   std::map<std::set<NodeId>, std::set<NodeId>> classes;  // β-set -> members
   for (NodeId m : matched) {
     std::vector<NodeId> targets = instance->OutTargets(m, grouping_edge_);

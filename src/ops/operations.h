@@ -107,17 +107,16 @@ class PatternOperation {
   void set_filter(MatchFilter filter) { filter_ = std::move(filter); }
   const MatchFilter& filter() const { return filter_; }
 
-  /// Worker threads for pattern matching and per-matching designator
-  /// extraction; 0 (the default) keeps the fully serial path. Parallel
-  /// application partitions work into chunks merged in chunk order, so
-  /// the resulting database and ApplyStats are identical to a serial
-  /// application (ApplyStats::match.workers_used aside).
+  /// Worker threads for pattern matching; 0 (the default) keeps it
+  /// serial. Parallel matching yields the serial matching sequence, and
+  /// applying the matchings is always serial, so the resulting database
+  /// and ApplyStats are identical to a serial application
+  /// (ApplyStats::match.workers_used aside).
   void set_num_threads(size_t num_threads) { num_threads_ = num_threads; }
   size_t num_threads() const { return num_threads_; }
 
-  /// Minimum work-list size (depth-0 candidates for matching, matchings
-  /// for extraction) before parallelism engages; see
-  /// pattern::MatchOptions::parallel_threshold.
+  /// Minimum depth-0 candidate count before parallel matching engages;
+  /// see pattern::MatchOptions::parallel_threshold.
   void set_parallel_threshold(size_t threshold) {
     parallel_threshold_ = threshold;
   }

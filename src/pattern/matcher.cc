@@ -512,39 +512,49 @@ SearchPlan BuildSeededSearchPlan(const Pattern& pattern,
   return plan;
 }
 
-/// Depth-0 candidates for one seed item: the matching delta seed list,
-/// pre-filtered against the live instance (alive, label, print value) —
-/// delta lists are raw journal footprints and carry no label
-/// information. Dropped entries are charged to the caller's stats so
-/// candidates_scanned still reflects the real scan work.
-std::vector<NodeId> DeltaRoots(const Pattern& pattern,
-                               const Instance& instance, const DeltaSet& delta,
-                               const SeedItem& seed, MatchStats* stats) {
-  const std::vector<NodeId>* raw;
-  if (seed.is_edge) {
-    raw = seed.source == seed.target ? &delta.SelfLoopSources(seed.label)
-                                     : &delta.EdgeSources(seed.label);
-  } else {
-    raw = &delta.nodes();
+/// True iff instance node `t` is alive and carries pattern node m's
+/// label and, when m has one, its print value. Delta lists are raw
+/// journal footprints with no label information, so every candidate
+/// drawn from them is checked this way.
+bool Admits(const Pattern& pattern, NodeId m, const Instance& instance,
+            NodeId t) {
+  if (!instance.HasNode(t) || instance.LabelOf(t) != pattern.LabelOf(m)) {
+    return false;
   }
-  const Symbol label = pattern.LabelOf(seed.source);
-  const bool has_print = pattern.HasPrintValue(seed.source);
+  if (!pattern.HasPrintValue(m)) return true;
+  const auto& print = instance.PrintValueOf(t);
+  return print.has_value() && *print == *pattern.PrintValueOf(m);
+}
+
+/// The depth-0 candidates of a run whose plan starts at pattern node
+/// `m`, charged to `stats` (may be null). This is the only place depth-0
+/// candidates are computed; Candidates() serves depth 1 onward. A full
+/// run reads the printable index (at most one node) or the label index.
+/// A delta-seeded run filters its seed list `seeds` against the live
+/// instance, charging every entry as scanned and the dropped ones as
+/// rejected.
+std::vector<NodeId> Roots(const Pattern& pattern, const Instance& instance,
+                          NodeId m, const std::vector<NodeId>* seeds,
+                          MatchStats* stats) {
   std::vector<NodeId> roots;
-  roots.reserve(raw->size());
-  for (NodeId t : *raw) {
-    if (!instance.HasNode(t) || instance.LabelOf(t) != label) continue;
-    if (has_print) {
-      const auto& print = instance.PrintValueOf(t);
-      if (!print.has_value() || *print != *pattern.PrintValueOf(seed.source)) {
-        continue;
-      }
+  size_t scanned;
+  if (seeds != nullptr) {
+    for (NodeId t : *seeds) {
+      if (Admits(pattern, m, instance, t)) roots.push_back(t);
     }
-    roots.push_back(t);
+    scanned = seeds->size();
+  } else if (pattern.HasPrintValue(m)) {
+    auto found =
+        instance.FindPrintable(pattern.LabelOf(m), *pattern.PrintValueOf(m));
+    if (found.has_value()) roots.push_back(*found);
+    scanned = roots.size();
+  } else {
+    roots = instance.NodesWithLabel(pattern.LabelOf(m));
+    scanned = roots.size();
   }
   if (stats != nullptr) {
-    const size_t dropped = raw->size() - roots.size();
-    stats->candidates_scanned += dropped;
-    stats->feasibility_rejections += dropped;
+    stats->candidates_scanned += scanned;
+    stats->feasibility_rejections += scanned - roots.size();
   }
   return roots;
 }
@@ -691,23 +701,33 @@ std::shared_ptr<const SearchPlan> AcquirePlan(const Pattern& pattern,
   return plan;
 }
 
+/// Where a run's matchings go: appended to `out`, handed to `callback`
+/// (which stops the run by returning false; `stopped` then records it),
+/// or only counted when both are null.
+struct Sink {
+  std::vector<Matching>* out = nullptr;
+  const std::function<bool(const Matching&)>* callback = nullptr;
+  bool stopped = false;
+};
+
 /// Backtracking state for one enumeration run. One instance per thread:
 /// the plan is shared read-only, everything mutable lives here.
 class Enumerator {
  public:
-  /// `deadline` (optional) is polled every kPollStride candidate
-  /// visits; `trip` (optional, parallel runs) is a flag shared by all
-  /// workers — the first to observe an expiry sets it, peers observe it
-  /// and stop promptly.
+  /// `delta` (delta-seeded runs only) is what the plan's DeltaEdgeCheck
+  /// / exclude_delta_node / delta_only_base constraints evaluate
+  /// against. `deadline` (optional) is polled every kPollStride
+  /// candidate visits; `trip` is a flag shared by all workers of a run —
+  /// the first to observe an expiry sets it, peers observe it and stop
+  /// promptly.
   Enumerator(const Pattern& pattern, const Instance& instance,
-             const SearchPlan& plan, size_t limit, MatchStats* sink,
-             const common::Deadline* deadline = nullptr,
-             std::atomic<bool>* trip = nullptr)
+             const SearchPlan& plan, const DeltaSet* delta, size_t limit,
+             const common::Deadline* deadline, std::atomic<bool>* trip)
       : pattern_(pattern),
         instance_(instance),
         plan_(plan),
+        delta_(delta),
         limit_(limit),
-        sink_(sink),
         deadline_(deadline),
         trip_(trip),
         armed_(deadline != nullptr && deadline->armed()) {
@@ -718,60 +738,33 @@ class Enumerator {
     for (NodeId m : plan_.order) matching_scratch_.Bind(m, NodeId{});
   }
 
-  /// Delta-seeded runs: the delta the plan's DeltaEdgeCheck /
-  /// exclude_delta_node / delta_only_base constraints evaluate against.
-  void set_delta(const DeltaSet* delta) { delta_ = delta; }
-
-  /// Delta-seeded serial runs: depth-0 candidates come from this
-  /// pre-filtered seed list instead of the label/printable index (the
-  /// parallel driver passes its roots explicitly, so it never needs
-  /// this). Not owned; must outlive the run.
-  void set_root_override(const std::vector<NodeId>* roots) {
-    root_override_ = roots;
-  }
-
-  /// Full enumeration from depth 0, the classic serial path: invokes
-  /// `callback` per matching, honoring the limit and callback aborts.
-  size_t RunSerial(const std::function<bool(const Matching&)>& callback) {
-    callback_ = &callback;
-    if (limit_ > 0) Recurse(0);
-    callback_ = nullptr;
-    stats_.matchings = emitted_;
-    stats_.workers_used = 1;
-    if (sink_ != nullptr) *sink_ += stats_;
-    return emitted_;
-  }
-
-  /// Parallel-worker entry: enumerates the subtrees rooted at
-  /// roots[begin, end), appending matchings to `out` (count-only when
-  /// null). Feasibility, fanout, and backtrack accounting match what
-  /// the serial matcher does for the same depth-0 candidates. Returns
-  /// the number of matchings emitted for this chunk; cumulative stats
-  /// stay in stats() for the caller to merge after the job completes.
-  size_t RunChunk(const std::vector<NodeId>& roots, size_t begin, size_t end,
-                  std::vector<Matching>* out) {
+  /// The one entry: enumerates the subtrees under the depth-0
+  /// candidates roots[begin, end) into `sink` — a whole serial run, or
+  /// one chunk of a parallel one. An empty plan has no depth 0, so its
+  /// leaf emits the one (empty) matching instead. Stops at the limit,
+  /// when the callback declines, or on an interrupt. The depth-0 retreat
+  /// is left to the driver, which alone knows whether the whole run
+  /// emitted.
+  void Run(const std::vector<NodeId>& roots, size_t begin, size_t end,
+           Sink* sink) {
     // A tripped worker drains its remaining queued chunks immediately.
-    if (!interrupt_.ok()) return 0;
-    if (trip_ != nullptr && trip_->load(std::memory_order_relaxed)) {
+    if (!interrupt_.ok()) return;
+    if (trip_->load(std::memory_order_relaxed)) {
       NotePeerTrip();
-      return 0;
+      return;
     }
-    collect_ = out;
-    const size_t emitted_before = emitted_;
-    const DepthPlan& plan0 = plan_.plans[0];
-    for (size_t i = begin; i < end; ++i) {
-      if (armed_ && !PollDeadline()) break;
-      NodeId t = roots[i];
-      if (!Feasible(plan0, t)) continue;
-      if (delta_ != nullptr && !DeltaFeasible(plan0, 0, t)) continue;
-      ++stats_.depth_fanout[0];
-      assignment_[0] = t;
-      if (!Recurse(1)) break;
+    if (stats_.matchings >= limit_) return;
+    sink_ = sink;
+    if (plan_.order.empty()) {
+      Recurse(0);  // Depth 0 is the leaf: the one (empty) matching.
+    } else {
+      for (size_t i = begin; i < end; ++i) {
+        if (armed_ && !PollDeadline()) break;
+        if (!Place(plan_.plans[0], 0, roots[i])) continue;
+        if (!Recurse(1)) break;
+      }
     }
-    collect_ = nullptr;
-    const size_t emitted = emitted_ - emitted_before;
-    stats_.matchings += emitted;
-    return emitted;
+    sink_ = nullptr;
   }
 
   const MatchStats& stats() const { return stats_; }
@@ -795,14 +788,14 @@ class Enumerator {
   /// stop; interrupt_ then holds the reason. Only called when armed_.
   bool PollDeadline() {
     if ((++polls_ & (kPollStride - 1)) != 0) return true;
-    if (trip_ != nullptr && trip_->load(std::memory_order_relaxed)) {
+    if (trip_->load(std::memory_order_relaxed)) {
       NotePeerTrip();
       return false;
     }
     Status expired = deadline_->Check();
     if (!expired.ok()) {
       interrupt_ = std::move(expired);
-      if (trip_ != nullptr) trip_->store(true, std::memory_order_relaxed);
+      trip_->store(true, std::memory_order_relaxed);
       return false;
     }
     return true;
@@ -811,8 +804,8 @@ class Enumerator {
   /// True iff mapping plan.m to `t` respects the node label and every
   /// pattern self-loop (m, α, m), which demands the instance edge
   /// (t, α, t). Placed-neighbour edges and print values are already
-  /// enforced by Candidates(), which draws from (and intersects
-  /// against) the anchor adjacency lists.
+  /// enforced by Roots()/Candidates(), which draw from (and intersect
+  /// against) the printable index and the anchor adjacency lists.
   bool Feasible(const DepthPlan& plan, NodeId t) {
     if (plan.check_label && instance_.LabelOf(t) != plan.label) {
       ++stats_.feasibility_rejections;
@@ -864,7 +857,7 @@ class Enumerator {
     return true;
   }
 
-  /// Candidate instance nodes for pattern node order[depth].
+  /// Candidate instance nodes for pattern node order[depth], depth ≥ 1.
   ///
   /// Anchored nodes (≥1 already-placed neighbour) draw candidates from
   /// the plan-chosen base anchor's adjacency list (the cost-based
@@ -876,43 +869,24 @@ class Enumerator {
   const std::vector<NodeId>& Candidates(size_t depth) {
     const DepthPlan& plan = plan_.plans[depth];
     std::vector<NodeId>& scratch = scratch_[depth];
-    if (depth == 0 && root_override_ != nullptr) {
-      // Delta-seeded run: the driver pre-filtered this seed list
-      // against the instance (and charged the dropped entries).
-      stats_.candidates_scanned += root_override_->size();
-      return *root_override_;
-    }
     if (plan.delta_only_base) {
       // Walk the delta adjacency of the seed edge instead of an
       // instance adjacency list; label/print/anchors are then verified
-      // against the live instance (delta lists are raw journal
-      // footprints).
+      // against the live instance.
       scratch.clear();
       const std::vector<NodeId>& base_list =
           delta_->OutTargets(assignment_[0], plan.delta_base_label);
       stats_.candidates_scanned += base_list.size();
       for (NodeId t : base_list) {
-        if (!instance_.HasNode(t) || instance_.LabelOf(t) != plan.label) {
+        bool in_all = Admits(pattern_, plan.m, instance_, t);
+        for (size_t i = 0; in_all && i < plan.anchors.size(); ++i) {
+          in_all = SatisfiesAnchor(plan.anchors[i], t);
+        }
+        if (in_all) {
+          scratch.push_back(t);
+        } else {
           ++stats_.feasibility_rejections;
-          continue;
         }
-        if (plan.has_print) {
-          const auto& print = instance_.PrintValueOf(t);
-          if (!print.has_value() ||
-              *print != *pattern_.PrintValueOf(plan.m)) {
-            ++stats_.feasibility_rejections;
-            continue;
-          }
-        }
-        bool in_all = true;
-        for (const Anchor& anchor : plan.anchors) {
-          if (!SatisfiesAnchor(anchor, t)) {
-            in_all = false;
-            ++stats_.feasibility_rejections;
-            break;
-          }
-        }
-        if (in_all) scratch.push_back(t);
       }
       return scratch;
     }
@@ -962,210 +936,186 @@ class Enumerator {
     return scratch;
   }
 
-  bool Recurse(size_t depth) {  // Returns false to abort enumeration.
+  /// Binds order[depth] to `t` if it passes the feasibility and delta
+  /// checks, counting it in depth_fanout.
+  bool Place(const DepthPlan& plan, size_t depth, NodeId t) {
+    if (!Feasible(plan, t)) return false;
+    if (delta_ != nullptr && !DeltaFeasible(plan, depth, t)) return false;
+    ++stats_.depth_fanout[depth];
+    assignment_[depth] = t;
+    return true;
+  }
+
+  /// Returns false to abort enumeration (limit reached, callback
+  /// declined, or interrupt). The leaf is emitted inline: a call per
+  /// leaf costs about 10% on dense counts.
+  bool Recurse(size_t depth) {
     if (depth == plan_.order.size()) {
       // Rebind the reused matching in place: keys were pre-bound in the
       // constructor, so this never rehashes or allocates.
       for (size_t i = 0; i < plan_.order.size(); ++i) {
         matching_scratch_.Bind(plan_.order[i], assignment_[i]);
       }
-      ++emitted_;
-      if (collect_ != nullptr) {
-        collect_->push_back(matching_scratch_);
-      } else if (callback_ != nullptr && !(*callback_)(matching_scratch_)) {
+      ++stats_.matchings;
+      if (sink_->out != nullptr) sink_->out->push_back(matching_scratch_);
+      if (sink_->callback != nullptr &&
+          !(*sink_->callback)(matching_scratch_)) {
+        sink_->stopped = true;
         return false;
       }
-      return emitted_ < limit_;
+      return stats_.matchings < limit_;
     }
     const DepthPlan& plan = plan_.plans[depth];
-    const size_t emitted_before = emitted_;
+    const size_t emitted_before = stats_.matchings;
     for (NodeId t : Candidates(depth)) {
       if (armed_ && !PollDeadline()) return false;
-      if (!Feasible(plan, t)) continue;
-      if (delta_ != nullptr && !DeltaFeasible(plan, depth, t)) continue;
-      ++stats_.depth_fanout[depth];
-      assignment_[depth] = t;
+      if (!Place(plan, depth, t)) continue;
       if (!Recurse(depth + 1)) return false;
     }
-    if (emitted_ == emitted_before) ++stats_.backtracks;
+    if (stats_.matchings == emitted_before) ++stats_.backtracks;
     return true;
   }
 
   const Pattern& pattern_;
   const Instance& instance_;
   const SearchPlan& plan_;
+  const DeltaSet* delta_;
   size_t limit_;
-  MatchStats* sink_;
   const common::Deadline* deadline_;
   std::atomic<bool>* trip_;
-  const DeltaSet* delta_ = nullptr;
-  const std::vector<NodeId>* root_override_ = nullptr;
   const bool armed_;
   size_t polls_ = 0;
   Status interrupt_;
   bool interrupt_from_peer_ = false;
-  const std::function<bool(const Matching&)>* callback_ = nullptr;
-  std::vector<Matching>* collect_ = nullptr;
+  Sink* sink_ = nullptr;
   std::vector<NodeId> assignment_;
   // Per-depth candidate buffers (reused across sibling subtrees).
   std::vector<std::vector<NodeId>> scratch_;
-  // Reused across leaves; callback_ receives it by const reference.
+  // Reused across leaves; the sink receives it by const reference.
   Matching matching_scratch_;
   MatchStats stats_;
-  size_t emitted_ = 0;
 };
 
-/// The parallel driver behind FindAllChecked/CountChecked. Partitions
-/// the depth-0 candidate list into chunks, runs a per-worker Enumerator
-/// over the chunks via the shared thread pool queue, and merges chunk
-/// outputs in chunk-index order — so the matching sequence and all
-/// stats (except workers_used) are identical to the serial matcher's.
-/// Sets *engaged to false (without touching the outputs) when the
-/// enumeration is ineligible: serial options, a limit, the empty
-/// pattern, or a depth-0 candidate list below the threshold — the
-/// caller then runs the serial engine. When a deadline interrupt cuts the run short, returns the
-/// interrupt status with the outputs and stats untouched.
-Status TryParallelEnumerate(const Pattern& pattern, const Instance& instance,
-                            const SearchPlan& plan,
-                            const MatchOptions& options,
-                            std::vector<Matching>* out, size_t* count,
-                            bool* engaged,
-                            const std::vector<NodeId>* roots_override = nullptr,
-                            const DeltaSet* delta = nullptr) {
-  *engaged = false;
-  if (options.num_threads == 0) return Status::OK();
-  if (options.limit != kNoLimit) return Status::OK();
-  // The empty pattern has exactly one matching (the empty map); let the
-  // serial engine emit it.
-  if (plan.order.empty()) return Status::OK();
-
-  MatchStats merged;
-  merged.depth_fanout.assign(plan.order.size(), 0);
-  const DepthPlan& plan0 = plan.plans[0];
-  std::vector<NodeId> roots_storage;
-  if (roots_override == nullptr) {
-    if (plan0.has_print) {
-      auto found =
-          instance.FindPrintable(plan0.label, *pattern.PrintValueOf(plan0.m));
-      if (found.has_value()) {
-        ++merged.candidates_scanned;
-        roots_storage.push_back(*found);
-      }
-    } else {
-      roots_storage = instance.NodesWithLabel(plan0.label);
-      merged.candidates_scanned += roots_storage.size();
-    }
-  } else {
-    // Delta-seeded roots, already filtered by the driver. Charged here
-    // to mirror the serial engine's root-override accounting.
-    merged.candidates_scanned += roots_override->size();
-  }
-  const std::vector<NodeId>& roots =
-      roots_override != nullptr ? *roots_override : roots_storage;
-  if (roots.size() < options.parallel_threshold) return Status::OK();
-  *engaged = true;
-
+/// The one driver under every entry point: enumerates `plan` over its
+/// depth-0 candidates `roots` into `sink`, adds the run's stats to
+/// options.stats and its matching count to *emitted. The run is chunked
+/// over a thread pool when options.num_threads > 0, there is no limit
+/// and no callback, the plan is non-empty, and the roots reach
+/// options.parallel_threshold; otherwise one Enumerator runs it inline.
+/// Each chunk searches exactly what the inline run searches under its
+/// roots and chunk outputs merge in chunk order, so the matching
+/// sequence and every stat but workers_used are the same either way. On
+/// an interrupt, returns its status after adding the partial stats.
+Status Enumerate(const Pattern& pattern, const Instance& instance,
+                 const SearchPlan& plan, const std::vector<NodeId>& roots,
+                 const DeltaSet* delta, const MatchOptions& options,
+                 Sink* sink, size_t* emitted) {
+  const bool parallel = options.num_threads > 0 &&
+                        options.limit == kNoLimit &&
+                        sink->callback == nullptr && !plan.order.empty() &&
+                        roots.size() >= options.parallel_threshold;
   const size_t workers =
-      std::min(options.num_threads, std::max<size_t>(roots.size(), 1));
-  // ~4 chunks per worker: slack for dynamic load balancing without
-  // fragmenting the ordered merge.
-  const size_t chunk_size =
-      std::max<size_t>(1, (roots.size() + workers * 4 - 1) / (workers * 4));
-  const size_t num_chunks = (roots.size() + chunk_size - 1) / chunk_size;
-
-  const bool armed =
-      options.deadline != nullptr && options.deadline->armed();
+      parallel
+          ? std::min(options.num_threads, std::max<size_t>(roots.size(), 1))
+          : 1;
   std::atomic<bool> trip{false};
-  std::vector<std::vector<Matching>> chunk_out(out != nullptr ? num_chunks
-                                                              : 0);
-  std::vector<size_t> chunk_count(num_chunks, 0);
-  std::vector<std::unique_ptr<Enumerator>> per_worker;
+  std::vector<Enumerator> per_worker;
   per_worker.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    per_worker.push_back(std::make_unique<Enumerator>(
-        pattern, instance, plan, kNoLimit, nullptr,
-        armed ? options.deadline : nullptr, armed ? &trip : nullptr));
-    per_worker.back()->set_delta(delta);
+    per_worker.emplace_back(pattern, instance, plan, delta, options.limit,
+                            options.deadline, &trip);
   }
-  {
-    common::ThreadPool pool(workers);
-    pool.ParallelFor(num_chunks, [&](size_t worker, size_t chunk) {
-      const size_t begin = chunk * chunk_size;
-      const size_t end = std::min(roots.size(), begin + chunk_size);
-      chunk_count[chunk] = per_worker[worker]->RunChunk(
-          roots, begin, end, out != nullptr ? &chunk_out[chunk] : nullptr);
-    });
+  size_t num_chunks = 1;
+  if (!parallel) {
+    per_worker[0].Run(roots, 0, roots.size(), sink);
+  } else {
+    // ~4 chunks per worker: slack for dynamic load balancing without
+    // fragmenting the ordered merge.
+    const size_t chunk_size =
+        std::max<size_t>(1, (roots.size() + workers * 4 - 1) / (workers * 4));
+    num_chunks = (roots.size() + chunk_size - 1) / chunk_size;
+    std::vector<std::vector<Matching>> chunk_out(
+        sink->out != nullptr ? num_chunks : 0);
+    {
+      common::ThreadPool pool(workers);
+      pool.ParallelFor(num_chunks, [&](size_t worker, size_t chunk) {
+        const size_t begin = chunk * chunk_size;
+        Sink chunk_sink{sink->out != nullptr ? &chunk_out[chunk] : nullptr};
+        per_worker[worker].Run(roots, begin,
+                               std::min(roots.size(), begin + chunk_size),
+                               &chunk_sink);
+      });
+    }
+    if (sink->out != nullptr) {
+      size_t total = sink->out->size();
+      for (const std::vector<Matching>& chunk : chunk_out) {
+        total += chunk.size();
+      }
+      sink->out->reserve(total);
+      for (std::vector<Matching>& chunk : chunk_out) {
+        std::move(chunk.begin(), chunk.end(), std::back_inserter(*sink->out));
+      }
+    }
   }
 
-  // Interrupt resolution: prefer the primary status recorded by a
-  // worker that observed the deadline itself over a peer-trip mirror.
+  // Prefer the primary status recorded by a worker that observed the
+  // deadline itself over a peer-trip mirror.
+  MatchStats run;
   Status interrupt;
-  for (const auto& enumerator : per_worker) {
-    if (enumerator->interrupt().ok()) continue;
-    if (interrupt.ok() || !enumerator->interrupt_from_peer()) {
-      interrupt = enumerator->interrupt();
-      if (!enumerator->interrupt_from_peer()) break;
-    }
+  bool primary = false;
+  for (const Enumerator& enumerator : per_worker) {
+    run += enumerator.stats();
+    if (primary || enumerator.interrupt().ok()) continue;
+    interrupt = enumerator.interrupt();
+    primary = !enumerator.interrupt_from_peer();
   }
-  if (!interrupt.ok()) return interrupt;
-
-  size_t total = 0;
-  for (size_t c = 0; c < num_chunks; ++c) total += chunk_count[c];
-  for (const auto& enumerator : per_worker) merged += enumerator->stats();
-  // The depth-0 retreat the serial matcher counts when nothing at all
-  // was emitted.
-  if (total == 0) ++merged.backtracks;
-  merged.workers_used = std::max<size_t>(1, std::min(workers, num_chunks));
-  if (options.stats != nullptr) *options.stats += merged;
-
-  if (out != nullptr) {
-    out->clear();
-    out->reserve(total);
-    for (std::vector<Matching>& chunk : chunk_out) {
-      std::move(chunk.begin(), chunk.end(), std::back_inserter(*out));
-    }
+  // The depth-0 retreat: a run that emitted nothing exhausted its roots,
+  // unless a limit of 0 or an interrupt stopped it first.
+  if (run.matchings == 0 && options.limit > 0 && interrupt.ok()) {
+    ++run.backtracks;
   }
-  *count = total;
-  return Status::OK();
+  run.workers_used = std::max<size_t>(1, std::min(workers, num_chunks));
+  if (options.stats != nullptr) *options.stats += run;
+  *emitted += run.matchings;
+  return interrupt;
 }
 
-/// The serial engine behind every non-parallel entry path: runs the
-/// (possibly cached) plan to completion, reporting the interrupt status
-/// and the number of matchings visited.
-Status RunSerialEnumeration(const Pattern& pattern, const Instance& instance,
-                            const SearchPlan& plan,
-                            const MatchOptions& options,
-                            const std::function<bool(const Matching&)>& callback,
-                            size_t* visited) {
-  Enumerator enumerator(pattern, instance, plan, options.limit, options.stats,
-                        options.deadline, nullptr);
-  size_t n = enumerator.RunSerial(callback);
-  if (visited != nullptr) *visited = n;
-  return enumerator.interrupt();
-}
-
-/// The semi-naive driver behind every delta-seeded entry path
-/// (MatchOptions::delta != nullptr): enumerates the seed items in their
-/// fixed order, each over its pre-filtered delta seed list, and
-/// concatenates the per-item outputs. Per item the parallel engine
-/// engages under the usual conditions (no callback, no limit, enough
-/// roots) with the serial engine as fallback — both walk the same
-/// roots under the same plan, so the emitted sequence is byte-identical
-/// either way. `callback` (ForEachChecked semantics, always serial) and
-/// `out` (FindAllChecked) are each optional; `total_out` is kept current
-/// so an interrupt still reports the visited count.
-Status RunDeltaEnumeration(const Pattern& pattern, const Instance& instance,
-                           const MatchOptions& options,
-                           const std::function<bool(const Matching&)>* callback,
-                           std::vector<Matching>* out, size_t* total_out) {
+/// The sequence behind every entry point: the up-front deadline check,
+/// then one Enumerate over the (possibly cached) full plan, or — for a
+/// delta-seeded run — one per seed item in the fixed item order, each
+/// over its own seeded plan and filtered seed list, with the limit
+/// carried across items. `*emitted` counts the matchings delivered, also
+/// when an interrupt cuts the run short.
+Status Match(const Pattern& pattern, const Instance& instance,
+             const MatchOptions& options, Sink* sink, size_t* emitted) {
+  *emitted = 0;
+  // Tiny enumerations may finish under the poll stride, so an
+  // already-expired deadline must still be observed.
+  if (options.deadline != nullptr) {
+    GOOD_RETURN_NOT_OK(options.deadline->Check());
+  }
+  if (options.delta == nullptr) {
+    std::shared_ptr<const SearchPlan> plan =
+        AcquirePlan(pattern, instance, options);
+    std::vector<NodeId> roots;
+    // A limit of 0 ends the run before depth 0 is read.
+    if (!plan->order.empty() && options.limit > 0) {
+      roots = Roots(pattern, instance, plan->order[0], nullptr, options.stats);
+    }
+    return Enumerate(pattern, instance, *plan, roots, nullptr, options, sink,
+                     emitted);
+  }
   const DeltaSet& delta = *options.delta;
   const std::vector<SeedItem> items = BuildSeedItems(pattern);
-  size_t total = 0;
-  bool user_abort = false;
-  for (size_t i = 0; i < items.size() && !user_abort; ++i) {
-    if (total >= options.limit) break;
-    std::vector<NodeId> roots =
-        DeltaRoots(pattern, instance, delta, items[i], options.stats);
+  for (size_t i = 0;
+       i < items.size() && *emitted < options.limit && !sink->stopped; ++i) {
+    const SeedItem& seed = items[i];
+    const std::vector<NodeId>& seeds =
+        !seed.is_edge                 ? delta.nodes()
+        : seed.source == seed.target ? delta.SelfLoopSources(seed.label)
+                                      : delta.EdgeSources(seed.label);
+    const std::vector<NodeId> roots =
+        Roots(pattern, instance, seed.source, &seeds, options.stats);
     if (roots.empty()) continue;
     // Seeded plans never enter the global plan cache: delta-seeded runs
     // are fixpoint rounds, each of which mutates the instance and so
@@ -1173,42 +1123,10 @@ Status RunDeltaEnumeration(const Pattern& pattern, const Instance& instance,
     const SearchPlan plan =
         BuildSeededSearchPlan(pattern, instance, options.planner, items, i);
     MatchOptions item_options = options;
-    item_options.limit =
-        options.limit == kNoLimit ? kNoLimit : options.limit - total;
-    if (callback == nullptr) {
-      size_t item_count = 0;
-      bool engaged = false;
-      std::vector<Matching> item_out;
-      GOOD_RETURN_NOT_OK(TryParallelEnumerate(
-          pattern, instance, plan, item_options,
-          out != nullptr ? &item_out : nullptr, &item_count, &engaged, &roots,
-          &delta));
-      if (engaged) {
-        total += item_count;
-        if (out != nullptr) {
-          std::move(item_out.begin(), item_out.end(),
-                    std::back_inserter(*out));
-        }
-        if (total_out != nullptr) *total_out = total;
-        continue;
-      }
-    }
-    Enumerator enumerator(pattern, instance, plan, item_options.limit,
-                          options.stats, options.deadline, nullptr);
-    enumerator.set_delta(&delta);
-    enumerator.set_root_override(&roots);
-    total += enumerator.RunSerial([&](const Matching& m) {
-      if (out != nullptr) out->push_back(m);
-      if (callback != nullptr && !(*callback)(m)) {
-        user_abort = true;
-        return false;
-      }
-      return true;
-    });
-    if (total_out != nullptr) *total_out = total;
-    GOOD_RETURN_NOT_OK(enumerator.interrupt());
+    if (options.limit != kNoLimit) item_options.limit -= *emitted;
+    GOOD_RETURN_NOT_OK(Enumerate(pattern, instance, plan, roots, &delta,
+                                 item_options, sink, emitted));
   }
-  if (total_out != nullptr) *total_out = total;
   return Status::OK();
 }
 
@@ -1217,74 +1135,26 @@ Status RunDeltaEnumeration(const Pattern& pattern, const Instance& instance,
 Status Matcher::ForEachChecked(
     const std::function<bool(const Matching&)>& callback,
     size_t* visited) const {
-  if (visited != nullptr) *visited = 0;
-  // Upfront check: tiny enumerations may finish under the poll stride,
-  // so an already-expired deadline must still be observed.
-  if (options_.deadline != nullptr) {
-    GOOD_RETURN_NOT_OK(options_.deadline->Check());
-  }
-  if (options_.delta != nullptr) {
-    return RunDeltaEnumeration(pattern_, instance_, options_, &callback,
-                               nullptr, visited);
-  }
-  std::shared_ptr<const SearchPlan> plan =
-      AcquirePlan(pattern_, instance_, options_);
-  return RunSerialEnumeration(pattern_, instance_, *plan, options_, callback,
-                              visited);
+  Sink sink{nullptr, &callback};
+  size_t count = 0;
+  Status status = Match(pattern_, instance_, options_, &sink, &count);
+  if (visited != nullptr) *visited = count;
+  return status;
 }
 
 Result<std::vector<Matching>> Matcher::FindAllChecked() const {
-  if (options_.deadline != nullptr) {
-    GOOD_RETURN_NOT_OK(options_.deadline->Check());
-  }
-  if (options_.delta != nullptr) {
-    std::vector<Matching> out;
-    GOOD_RETURN_NOT_OK(RunDeltaEnumeration(pattern_, instance_, options_,
-                                           nullptr, &out, nullptr));
-    return out;
-  }
-  // One plan acquisition per call: the parallel driver and the serial
-  // fallback share it (and its cache hit/miss accounting).
-  std::shared_ptr<const SearchPlan> plan =
-      AcquirePlan(pattern_, instance_, options_);
   std::vector<Matching> out;
+  Sink sink{&out};
   size_t count = 0;
-  bool engaged = false;
-  GOOD_RETURN_NOT_OK(TryParallelEnumerate(pattern_, instance_, *plan, options_,
-                                          &out, &count, &engaged));
-  if (engaged) return out;
-  GOOD_RETURN_NOT_OK(RunSerialEnumeration(
-      pattern_, instance_, *plan, options_,
-      [&](const Matching& m) {
-        out.push_back(m);
-        return true;
-      },
-      nullptr));
+  GOOD_RETURN_NOT_OK(Match(pattern_, instance_, options_, &sink, &count));
   return out;
 }
 
 Result<size_t> Matcher::CountChecked() const {
-  if (options_.deadline != nullptr) {
-    GOOD_RETURN_NOT_OK(options_.deadline->Check());
-  }
-  if (options_.delta != nullptr) {
-    size_t total = 0;
-    GOOD_RETURN_NOT_OK(RunDeltaEnumeration(pattern_, instance_, options_,
-                                           nullptr, nullptr, &total));
-    return total;
-  }
-  std::shared_ptr<const SearchPlan> plan =
-      AcquirePlan(pattern_, instance_, options_);
+  Sink sink;
   size_t count = 0;
-  bool engaged = false;
-  GOOD_RETURN_NOT_OK(TryParallelEnumerate(pattern_, instance_, *plan, options_,
-                                          nullptr, &count, &engaged));
-  if (engaged) return count;
-  size_t visited = 0;
-  GOOD_RETURN_NOT_OK(RunSerialEnumeration(
-      pattern_, instance_, *plan, options_,
-      [](const Matching&) { return true; }, &visited));
-  return visited;
+  GOOD_RETURN_NOT_OK(Match(pattern_, instance_, options_, &sink, &count));
+  return count;
 }
 
 Result<bool> Matcher::ExistsChecked() const {

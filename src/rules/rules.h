@@ -103,10 +103,10 @@ class RuleEngine {
 
   size_t size() const { return rules_.size(); }
 
-  /// Worker threads forwarded to every rule's node/edge addition (and
-  /// through them to the pattern matcher); 0 keeps the engine fully
+  /// Worker threads forwarded to every rule's node/edge addition, which
+  /// use them for pattern matching only; 0 keeps the engine fully
   /// serial. Fixpoints and reports are identical either way
-  /// (workers_used aside) — parallel application is deterministic.
+  /// (workers_used aside) — parallel matching is deterministic.
   void set_num_threads(size_t num_threads) { num_threads_ = num_threads; }
   size_t num_threads() const { return num_threads_; }
 

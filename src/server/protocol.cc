@@ -88,6 +88,12 @@ std::string RenderMatchings(const std::vector<pattern::Matching>& matchings) {
   return out.str();
 }
 
+/// The largest `deadline <ms>` budget accepted: one year. Larger counts
+/// overflow the conversion to the clock's nanoseconds (or wrap negative
+/// as signed milliseconds) and would arm a deadline that has already
+/// expired.
+constexpr uint64_t kMaxDeadlineMs = uint64_t{365} * 24 * 60 * 60 * 1000;
+
 }  // namespace
 
 std::string DotStuff(std::string_view body) {
@@ -362,6 +368,12 @@ void Connection::Dispatch(const std::string& command_line,
     if (ec != std::errc() || ptr != arg.data() + arg.size()) {
       Err(Status::InvalidArgument(
               "deadline takes a millisecond count or 'none'"),
+          out);
+      return;
+    }
+    if (ms > kMaxDeadlineMs) {
+      Err(Status::InvalidArgument("deadline exceeds the maximum of " +
+                                  std::to_string(kMaxDeadlineMs) + " ms"),
           out);
       return;
     }

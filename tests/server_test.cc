@@ -628,6 +628,24 @@ TEST(ProtocolTest, DeadlineCommandBoundsSessionCalls) {
   EXPECT_FALSE(connection.session().exec_options().deadline.armed());
   std::string out = RoundTrip(&connection, "deadline soon\n");
   EXPECT_EQ(out.rfind("err InvalidArgument", 0), 0u) << out;
+  // Counts past the one-year ceiling would wrap (2^64 - 1 ms reads as
+  // -1 ms) or overflow the nanosecond conversion, arming an
+  // already-expired deadline; they are refused and leave the session's
+  // deadline as it was.
+  for (const char* huge : {"deadline 18446744073709551615\n",
+                           "deadline 10000000000000\n"}) {
+    out = RoundTrip(&connection, huge);
+    EXPECT_EQ(out.rfind("err InvalidArgument", 0), 0u) << huge << out;
+    EXPECT_FALSE(connection.session().exec_options().deadline.armed());
+  }
+  // A year is in range and stays unexpired.
+  EXPECT_EQ(RoundTrip(&connection, "deadline 31536000000\n"),
+            "ok deadline 31536000000\n");
+  EXPECT_TRUE(connection.session().exec_options().deadline.armed());
+  EXPECT_TRUE(connection.session().exec_options().deadline.Check().ok());
+  out = RoundTrip(&connection, "deadline 18446744073709551615\n");
+  EXPECT_EQ(out.rfind("err InvalidArgument", 0), 0u) << out;
+  EXPECT_TRUE(connection.session().exec_options().deadline.Check().ok());
   ASSERT_TRUE(server->Close().ok());
 }
 
