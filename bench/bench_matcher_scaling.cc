@@ -72,7 +72,7 @@ BENCHMARK(BM_DensitySweep)->Range(256, 16384);
 
 /// Thread sweep over instance size: the two-hop pattern counted with
 /// 1/2/4/8 worker threads (threshold left at the default, so 128+ node
-/// graphs all engage the pool). Serial time at the same size is
+/// graphs all run in parallel). Serial time at the same size is
 /// BM_InstanceSizeSweep; speedup = serial_time / this_time. The
 /// "workers" counter records the partition width actually used.
 void BM_InstanceSizeThreadSweep(benchmark::State& state) {

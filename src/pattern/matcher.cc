@@ -10,10 +10,10 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "graph/undo_journal.h"
 
 namespace good::pattern {
@@ -717,19 +717,16 @@ class Enumerator {
   /// `delta` (delta-seeded runs only) is what the plan's DeltaEdgeCheck
   /// / exclude_delta_node / delta_only_base constraints evaluate
   /// against. `deadline` (optional) is polled every kPollStride
-  /// candidate visits; `trip` is a flag shared by all workers of a run —
-  /// the first to observe an expiry sets it, peers observe it and stop
-  /// promptly.
+  /// candidate visits.
   Enumerator(const Pattern& pattern, const Instance& instance,
              const SearchPlan& plan, const DeltaSet* delta, size_t limit,
-             const common::Deadline* deadline, std::atomic<bool>* trip)
+             const common::Deadline* deadline)
       : pattern_(pattern),
         instance_(instance),
         plan_(plan),
         delta_(delta),
         limit_(limit),
         deadline_(deadline),
-        trip_(trip),
         armed_(deadline != nullptr && deadline->armed()) {
     assignment_.assign(plan_.order.size(), NodeId{});
     scratch_.resize(plan_.order.size());
@@ -747,12 +744,8 @@ class Enumerator {
   /// emitted.
   void Run(const std::vector<NodeId>& roots, size_t begin, size_t end,
            Sink* sink) {
-    // A tripped worker drains its remaining queued chunks immediately.
+    // An interrupted worker drains its remaining chunks immediately.
     if (!interrupt_.ok()) return;
-    if (trip_->load(std::memory_order_relaxed)) {
-      NotePeerTrip();
-      return;
-    }
     if (stats_.matchings >= limit_) return;
     sink_ = sink;
     if (plan_.order.empty()) {
@@ -773,32 +766,13 @@ class Enumerator {
   /// enumeration short.
   const Status& interrupt() const { return interrupt_; }
 
-  /// True when interrupt() only mirrors a peer worker's trip — the
-  /// driver prefers the primary status recorded by the worker that
-  /// actually observed the deadline.
-  bool interrupt_from_peer() const { return interrupt_from_peer_; }
-
  private:
-  void NotePeerTrip() {
-    interrupt_ = Status::Cancelled("enumeration aborted by a peer worker");
-    interrupt_from_peer_ = true;
-  }
-
   /// Stride-gated deadline poll. Returns false when enumeration must
   /// stop; interrupt_ then holds the reason. Only called when armed_.
   bool PollDeadline() {
     if ((++polls_ & (kPollStride - 1)) != 0) return true;
-    if (trip_->load(std::memory_order_relaxed)) {
-      NotePeerTrip();
-      return false;
-    }
-    Status expired = deadline_->Check();
-    if (!expired.ok()) {
-      interrupt_ = std::move(expired);
-      trip_->store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
+    interrupt_ = deadline_->Check();
+    return interrupt_.ok();
   }
 
   /// True iff mapping plan.m to `t` respects the node label and every
@@ -951,12 +925,15 @@ class Enumerator {
   /// leaf costs about 10% on dense counts.
   bool Recurse(size_t depth) {
     if (depth == plan_.order.size()) {
+      ++stats_.matchings;
+      if (sink_->out == nullptr && sink_->callback == nullptr) {
+        return stats_.matchings < limit_;  // Counting: nothing to bind.
+      }
       // Rebind the reused matching in place: keys were pre-bound in the
       // constructor, so this never rehashes or allocates.
       for (size_t i = 0; i < plan_.order.size(); ++i) {
         matching_scratch_.Bind(plan_.order[i], assignment_[i]);
       }
-      ++stats_.matchings;
       if (sink_->out != nullptr) sink_->out->push_back(matching_scratch_);
       if (sink_->callback != nullptr &&
           !(*sink_->callback)(matching_scratch_)) {
@@ -982,11 +959,9 @@ class Enumerator {
   const DeltaSet* delta_;
   size_t limit_;
   const common::Deadline* deadline_;
-  std::atomic<bool>* trip_;
   const bool armed_;
   size_t polls_ = 0;
   Status interrupt_;
-  bool interrupt_from_peer_ = false;
   Sink* sink_ = nullptr;
   std::vector<NodeId> assignment_;
   // Per-depth candidate buffers (reused across sibling subtrees).
@@ -999,9 +974,10 @@ class Enumerator {
 /// The one driver under every entry point: enumerates `plan` over its
 /// depth-0 candidates `roots` into `sink`, adds the run's stats to
 /// options.stats and its matching count to *emitted. The run is chunked
-/// over a thread pool when options.num_threads > 0, there is no limit
-/// and no callback, the plan is non-empty, and the roots reach
-/// options.parallel_threshold; otherwise one Enumerator runs it inline.
+/// over the calling thread plus up to num_threads - 1 forked ones when
+/// options.num_threads > 0, there is no limit and no callback, the plan
+/// is non-empty, and the roots reach options.parallel_threshold;
+/// otherwise one Enumerator runs it inline.
 /// Each chunk searches exactly what the inline run searches under its
 /// roots and chunk outputs merge in chunk order, so the matching
 /// sequence and every stat but workers_used are the same either way. On
@@ -1018,12 +994,11 @@ Status Enumerate(const Pattern& pattern, const Instance& instance,
       parallel
           ? std::min(options.num_threads, std::max<size_t>(roots.size(), 1))
           : 1;
-  std::atomic<bool> trip{false};
   std::vector<Enumerator> per_worker;
   per_worker.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
     per_worker.emplace_back(pattern, instance, plan, delta, options.limit,
-                            options.deadline, &trip);
+                            options.deadline);
   }
   size_t num_chunks = 1;
   if (!parallel) {
@@ -1036,16 +1011,23 @@ Status Enumerate(const Pattern& pattern, const Instance& instance,
     num_chunks = (roots.size() + chunk_size - 1) / chunk_size;
     std::vector<std::vector<Matching>> chunk_out(
         sink->out != nullptr ? num_chunks : 0);
-    {
-      common::ThreadPool pool(workers);
-      pool.ParallelFor(num_chunks, [&](size_t worker, size_t chunk) {
+    // Worker w claims chunks from one cursor until it passes num_chunks.
+    std::atomic<size_t> cursor{0};
+    auto work = [&](size_t w) {
+      for (size_t chunk = cursor++; chunk < num_chunks; chunk = cursor++) {
         const size_t begin = chunk * chunk_size;
         Sink chunk_sink{sink->out != nullptr ? &chunk_out[chunk] : nullptr};
-        per_worker[worker].Run(roots, begin,
-                               std::min(roots.size(), begin + chunk_size),
-                               &chunk_sink);
-      });
-    }
+        per_worker[w].Run(roots, begin,
+                          std::min(roots.size(), begin + chunk_size),
+                          &chunk_sink);
+      }
+    };
+    {
+      std::vector<std::jthread> threads;
+      threads.reserve(workers - 1);
+      for (size_t w = 1; w < workers; ++w) threads.emplace_back(work, w);
+      work(0);  // The calling thread is worker 0.
+    }  // Joins the threads, publishing their writes to this one.
     if (sink->out != nullptr) {
       size_t total = sink->out->size();
       for (const std::vector<Matching>& chunk : chunk_out) {
@@ -1058,16 +1040,13 @@ Status Enumerate(const Pattern& pattern, const Instance& instance,
     }
   }
 
-  // Prefer the primary status recorded by a worker that observed the
-  // deadline itself over a peer-trip mirror.
+  // Every worker polls the deadline itself, so the first non-OK status
+  // is the run's.
   MatchStats run;
   Status interrupt;
-  bool primary = false;
   for (const Enumerator& enumerator : per_worker) {
     run += enumerator.stats();
-    if (primary || enumerator.interrupt().ok()) continue;
-    interrupt = enumerator.interrupt();
-    primary = !enumerator.interrupt_from_peer();
+    if (interrupt.ok()) interrupt = enumerator.interrupt();
   }
   // The depth-0 retreat: a run that emitted nothing exhausted its roots,
   // unless a limit of 0 or an interrupt stopped it first.

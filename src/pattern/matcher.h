@@ -311,9 +311,10 @@ class Matcher {
   // a configured deadline it never fails.
 
   /// All matchings. With MatchOptions::num_threads > 0 and a large
-  /// enough depth-0 candidate list, enumeration runs on a worker pool;
-  /// the returned sequence is identical to the serial matcher's.
-  /// Parallel runs abort all workers promptly via a shared trip flag.
+  /// enough depth-0 candidate list, the calling thread and up to
+  /// num_threads - 1 forked ones enumerate chunks of it; the returned
+  /// sequence is identical to the serial matcher's. On an interrupt
+  /// each worker stops at its own next deadline poll.
   Result<std::vector<Matching>> FindAllChecked() const;
 
   /// Counts matchings without materializing them. Parallelizes under

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "common/deadline.h"
-#include "common/thread_pool.h"
 #include "gen/generators.h"
 #include "graph/isomorphism.h"
 #include "hypermedia/hypermedia.h"
@@ -174,7 +173,7 @@ TEST_F(ParallelThresholdTest, SmallInputsStaySerial) {
   auto serial_sized = Matcher(p, g, options).FindAllChecked().ValueOrDie();
   EXPECT_EQ(stats.workers_used, 1u);
 
-  // Forcing the threshold to 0 engages the pool on the same input.
+  // Forcing the threshold to 0 engages the workers on the same input.
   MatchStats forced_stats;
   options.stats = &forced_stats;
   options.parallel_threshold = 0;
@@ -284,23 +283,66 @@ TEST(ParallelRuleEngineTest, FixpointMatchesSerialEngine) {
   EXPECT_TRUE(par_scheme == serial_scheme);
 }
 
-TEST(ThreadPoolTest, ParallelForVisitsEveryItemExactlyOnce) {
-  common::ThreadPool pool(4);
-  EXPECT_EQ(pool.num_workers(), 4u);
-  std::vector<int> visits(1000, 0);
-  pool.ParallelFor(visits.size(), [&](size_t worker, size_t item) {
-    ASSERT_LT(worker, 4u);
-    ++visits[item];  // Items are claimed exclusively: no two workers
-                     // share an index, so unsynchronized writes are safe.
-  });
-  for (size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i], 1) << "item " << i;
+/// Parallel sections share nothing but the read-only instance and plan,
+/// so any number of callers may run them at once: four caller threads,
+/// each forking its own workers over one const instance, must all see
+/// the serial result.
+TEST(ConcurrentParallelSectionsTest, CallersSharingOneInstanceAgreeWithSerial) {
+  const Scheme scheme = hypermedia::BuildScheme().ValueOrDie();
+  const Instance g =
+      gen::RandomInfoGraph(scheme, 256, 768, /*seed=*/31).ValueOrDie();
+  // Fewer roots than the oversubscribed run's threads.
+  const Instance small =
+      gen::RandomInfoGraph(scheme, 12, 24, /*seed=*/32).ValueOrDie();
+  pattern::GraphBuilder b(scheme);
+  NodeId x = b.Object("Info");
+  NodeId y = b.Object("Info");
+  NodeId z = b.Object("Info");
+  b.Edge(x, "links-to", y).Edge(y, "links-to", z);
+  const Pattern p = b.BuildOrDie();
+  const std::vector<Matching> serial = FindMatchings(p, g);
+  const std::vector<Matching> small_serial = FindMatchings(p, small);
+  const size_t small_roots = small.CountNodesWithLabel(Sym("Info"));
+  ASSERT_FALSE(serial.empty());
+
+  struct Outcome {
+    Result<std::vector<Matching>> found = Status::Internal("not run");
+    Result<size_t> counted = Status::Internal("not run");
+    Result<std::vector<Matching>> small_found = Status::Internal("not run");
+    MatchStats stats;
+    MatchStats small_stats;
+  };
+  constexpr size_t kCallers = 4;
+  std::vector<Outcome> outcomes(kCallers);
+  {
+    std::vector<std::jthread> callers;
+    for (size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        Outcome& outcome = outcomes[c];
+        MatchOptions options;
+        options.num_threads = 4;
+        options.parallel_threshold = 0;
+        options.stats = &outcome.stats;
+        outcome.found = Matcher(p, g, options).FindAllChecked();
+        outcome.counted = Matcher(p, g, options).CountChecked();
+        options.num_threads = small_roots + 4;
+        options.stats = &outcome.small_stats;
+        outcome.small_found = Matcher(p, small, options).FindAllChecked();
+      });
+    }
   }
-  // The pool is reusable: a second job on the same pool.
-  std::vector<int> again(17, 0);
-  pool.ParallelFor(again.size(), [&](size_t, size_t item) { ++again[item]; });
-  for (size_t i = 0; i < again.size(); ++i) EXPECT_EQ(again[i], 1);
-  pool.ParallelFor(0, [&](size_t, size_t) { FAIL(); });  // Empty job: no-op.
+  for (size_t c = 0; c < kCallers; ++c) {
+    const Outcome& outcome = outcomes[c];
+    ASSERT_TRUE(outcome.found.ok()) << outcome.found.status();
+    EXPECT_EQ(*outcome.found, serial) << "caller=" << c;
+    ASSERT_TRUE(outcome.counted.ok()) << outcome.counted.status();
+    EXPECT_EQ(*outcome.counted, serial.size()) << "caller=" << c;
+    EXPECT_EQ(outcome.stats.workers_used, 4u) << "caller=" << c;
+    ASSERT_TRUE(outcome.small_found.ok()) << outcome.small_found.status();
+    EXPECT_EQ(*outcome.small_found, small_serial) << "caller=" << c;
+    EXPECT_EQ(outcome.small_stats.workers_used, small_roots)
+        << "caller=" << c;
+  }
 }
 
 /// Cooperative cancellation of the matching engines: a CancelToken
@@ -311,8 +353,8 @@ class CancellationTest : public ::testing::TestWithParam<size_t> {
  protected:
   void SetUp() override { scheme_ = hypermedia::BuildScheme().ValueOrDie(); }
 
-  /// A 3-chain plus a free node: on a dense 400-node graph the matching
-  /// space is in the millions, far more work than the cancel latency.
+  /// A 3-chain plus a free node: on the dense graphs below the matching
+  /// space is in the millions, far more work than the interrupt latency.
   Pattern HeavyPattern() {
     pattern::GraphBuilder b(scheme_);
     NodeId x = b.Object("Info");
@@ -323,13 +365,20 @@ class CancellationTest : public ::testing::TestWithParam<size_t> {
     return b.BuildOrDie();
   }
 
+  /// 800 nodes: HeavyPattern has about 10M matchings here. Counting is
+  /// cheap per matching, so 400 nodes (2.4M matchings) can finish within
+  /// the few milliseconds the count tests wait before interrupting.
+  Instance CountGraph() {
+    return gen::RandomInfoGraph(scheme_, 800, 3200, /*seed=*/21)
+        .ValueOrDie();
+  }
+
   Scheme scheme_;
 };
 
 TEST_P(CancellationTest, CrossThreadCancelInterruptsCountPromptly) {
   const size_t threads = GetParam();
-  Instance g =
-      gen::RandomInfoGraph(scheme_, 400, 1600, /*seed=*/21).ValueOrDie();
+  Instance g = CountGraph();
   Pattern p = HeavyPattern();
 
   common::CancelToken token;
@@ -349,6 +398,40 @@ TEST_P(CancellationTest, CrossThreadCancelInterruptsCountPromptly) {
   canceller.join();
   ASSERT_FALSE(count.ok()) << "threads=" << threads;
   EXPECT_TRUE(count.status().IsCancelled()) << count.status();
+}
+
+TEST_P(CancellationTest, MidRunDeadlineReportsDeadlineExceeded) {
+  // A wall-clock deadline that expires while the workers run: each
+  // worker observes it at its own next poll, so the run reports
+  // kDeadlineExceeded (never kCancelled) and returns promptly.
+  const size_t threads = GetParam();
+  const Instance count_graph = CountGraph();
+  // FindAll materializes each matching, so 400 nodes are plenty.
+  const Instance found_graph =
+      gen::RandomInfoGraph(scheme_, 400, 1600, /*seed=*/21).ValueOrDie();
+  Pattern p = HeavyPattern();
+  MatchOptions options;
+  options.num_threads = threads;
+  options.parallel_threshold = 0;  // Force the parallel driver.
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kBudget = std::chrono::milliseconds(3);
+  constexpr auto kBound = std::chrono::seconds(2);
+
+  common::Deadline count_deadline = common::Deadline::After(kBudget);
+  options.deadline = &count_deadline;
+  Clock::time_point start = Clock::now();
+  auto count = Matcher(p, count_graph, options).CountChecked();
+  EXPECT_LT(Clock::now() - start, kBound) << "threads=" << threads;
+  ASSERT_FALSE(count.ok()) << "threads=" << threads;
+  EXPECT_TRUE(count.status().IsDeadlineExceeded()) << count.status();
+
+  common::Deadline found_deadline = common::Deadline::After(kBudget);
+  options.deadline = &found_deadline;
+  start = Clock::now();
+  auto found = Matcher(p, found_graph, options).FindAllChecked();
+  EXPECT_LT(Clock::now() - start, kBound) << "threads=" << threads;
+  ASSERT_FALSE(found.ok()) << "threads=" << threads;
+  EXPECT_TRUE(found.status().IsDeadlineExceeded()) << found.status();
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, CancellationTest,
