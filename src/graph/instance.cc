@@ -333,17 +333,11 @@ Status Instance::RemoveEdge(NodeId source, Symbol label, NodeId target) {
 
 std::vector<NodeId> Instance::NodesWithLabel(Symbol label) const {
   std::vector<NodeId> out;
-  const size_t count = CountNodesWithLabel(label);
-  if (count == 0) return out;
-  out.reserve(count);
-  for (const CowPtr<Page>& page : pages_) {
-    for (const auto& [l, ids] : page->by_label) {
-      if (l != label) continue;
-      for (uint32_t id : ids) out.push_back(NodeId{id});
-      break;
-    }
-    if (out.size() == count) break;
-  }
+  out.reserve(CountNodesWithLabel(label));
+  ForEachNodeWithLabel(label, [&out](NodeId n) {
+    out.push_back(n);
+    return true;
+  });
   return out;
 }
 

@@ -283,6 +283,24 @@ class Instance {
   /// All alive nodes with the given label, in ascending id order:
   /// the pages' per-label id lists, concatenated page by page.
   std::vector<NodeId> NodesWithLabel(Symbol label) const;
+  /// Calls `fn(NodeId)` on NodesWithLabel's sequence without copying
+  /// the label index, stopping at the first call that returns false.
+  /// Returns false iff a call stopped it.
+  template <typename Fn>
+  bool ForEachNodeWithLabel(Symbol label, Fn&& fn) const {
+    size_t left = CountNodesWithLabel(label);
+    for (size_t p = 0; left > 0 && p < pages_.size(); ++p) {
+      for (const auto& [l, ids] : pages_[p]->by_label) {
+        if (l != label) continue;
+        for (uint32_t id : ids) {
+          if (!fn(NodeId{id})) return false;
+        }
+        left -= ids.size();
+        break;
+      }
+    }
+    return true;
+  }
   /// O(1): read from a per-label count map.
   size_t CountNodesWithLabel(Symbol label) const;
 

@@ -15,25 +15,49 @@ namespace {
 /// filtering thousands of matchings under one deadline.
 constexpr size_t kExtensionPollStride = 64;
 
+/// What every extension check of one negated pattern shares, computed
+/// once: the crossed nodes in search order and, per search depth, the
+/// full-pattern edges whose endpoints are first both assigned there.
+struct ExtensionPlan {
+  explicit ExtensionPlan(const NegatedPattern& n) : negated(n) {
+    const std::vector<NodeId> nodes = negated.full.AllNodes();
+    std::vector<size_t> depth(nodes.empty() ? 0 : nodes.back().id + 1, 0);
+    for (NodeId m : nodes) {
+      if (std::find(negated.positive_nodes.begin(),
+                    negated.positive_nodes.end(),
+                    m) == negated.positive_nodes.end()) {
+        crossed.push_back(m);
+        depth[m.id] = crossed.size();
+      }
+    }
+    checks.resize(crossed.size() + 1);
+    for (const graph::Edge& e : negated.full.AllEdges()) {
+      checks[std::max(depth[e.source.id], depth[e.target.id])].push_back(e);
+    }
+  }
+
+  NegatedPattern negated;
+  /// Nodes of `full` outside `positive_nodes`, in id order.
+  std::vector<NodeId> crossed;
+  /// checks[0]: the edges among positive nodes; checks[i + 1]: the
+  /// edges that assigning crossed[i] completes.
+  std::vector<std::vector<graph::Edge>> checks;
+};
+
 /// Backtracking extension check: given the images of the positive nodes,
 /// does an assignment of the crossed nodes exist that realizes every
 /// edge of the full pattern?
 class ExtensionCheck {
  public:
-  ExtensionCheck(const NegatedPattern& negated, const Instance& instance,
+  ExtensionCheck(const ExtensionPlan& plan, const Instance& instance,
                  const Matching& positive_matching,
                  const common::Deadline* deadline = nullptr)
-      : negated_(negated),
+      : plan_(plan),
         instance_(instance),
         deadline_(deadline),
         armed_(deadline != nullptr && deadline->armed()) {
-    for (NodeId n : negated.positive_nodes) {
-      images_[n] = positive_matching.At(n);
-    }
-    std::set<NodeId> positive(negated.positive_nodes.begin(),
-                              negated.positive_nodes.end());
-    for (NodeId n : negated.full.AllNodes()) {
-      if (!positive.contains(n)) crossed_.push_back(n);
+    for (NodeId n : plan.negated.positive_nodes) {
+      images_.Bind(n, positive_matching.At(n));
     }
   }
 
@@ -42,7 +66,7 @@ class ExtensionCheck {
   /// finish under the poll stride).
   Result<bool> Extensible() {
     if (armed_) GOOD_RETURN_NOT_OK(deadline_->Check());
-    const bool extensible = Recurse(0);
+    const bool extensible = Consistent(plan_.checks[0]) && Recurse(0);
     GOOD_RETURN_NOT_OK(interrupt_);
     return extensible;
   }
@@ -57,57 +81,57 @@ class ExtensionCheck {
     return false;
   }
 
-  /// All full-pattern edges whose endpoints are both assigned must be
-  /// present in the instance.
-  bool EdgesConsistent() const {
-    for (NodeId m : negated_.full.AllNodes()) {
-      auto mit = images_.find(m);
-      if (mit == images_.end()) continue;
-      for (const auto& [label, target] : negated_.full.OutEdges(m)) {
-        auto tit = images_.find(target);
-        if (tit == images_.end()) continue;
-        if (!instance_.HasEdge(mit->second, label, tit->second)) return false;
+  /// True iff the instance holds the image of every edge in `edges`,
+  /// whose endpoints are all assigned.
+  bool Consistent(const std::vector<graph::Edge>& edges) const {
+    for (const graph::Edge& e : edges) {
+      if (!instance_.HasEdge(images_.At(e.source), e.label,
+                             images_.At(e.target))) {
+        return false;
       }
     }
     return true;
   }
 
+  /// Extends the assignment from crossed[index] on; false when no
+  /// extension exists or an interrupt stopped the search.
   bool Recurse(size_t index) {
-    if (index == crossed_.size()) return EdgesConsistent();
-    NodeId m = crossed_[index];
-    std::vector<NodeId> candidates;
-    if (negated_.full.HasPrintValue(m)) {
-      auto found = instance_.FindPrintable(negated_.full.LabelOf(m),
-                                           *negated_.full.PrintValueOf(m));
-      if (found.has_value()) candidates.push_back(*found);
-    } else {
-      candidates = instance_.NodesWithLabel(negated_.full.LabelOf(m));
-    }
-    for (NodeId t : candidates) {
+    if (index == plan_.crossed.size()) return true;
+    const NodeId m = plan_.crossed[index];
+    const Pattern& full = plan_.negated.full;
+    // Prune early: partial assignments must stay edge-consistent.
+    auto extends = [&](NodeId t) {
       if (armed_ && !Poll()) return false;
-      images_[m] = t;
-      // Prune early: partial assignments must stay edge-consistent.
-      if (EdgesConsistent() && Recurse(index + 1)) return true;
+      images_.Bind(m, t);
+      return Consistent(plan_.checks[index + 1]) && Recurse(index + 1);
+    };
+    if (full.HasPrintValue(m)) {
+      auto found = instance_.FindPrintable(full.LabelOf(m),
+                                           *full.PrintValueOf(m));
+      return found.has_value() && extends(*found);
     }
-    images_.erase(m);
-    return false;
+    bool found = false;
+    instance_.ForEachNodeWithLabel(full.LabelOf(m), [&](NodeId t) {
+      found = extends(t);
+      return !found && interrupt_.ok();
+    });
+    return found;
   }
 
-  const NegatedPattern& negated_;
+  const ExtensionPlan& plan_;
   const Instance& instance_;
   const common::Deadline* deadline_;
   const bool armed_;
   size_t polls_ = 0;
   Status interrupt_;
-  std::unordered_map<NodeId, NodeId> images_;
-  std::vector<NodeId> crossed_;
+  Matching images_;
 };
 
-Result<bool> IsExtensibleChecked(const NegatedPattern& negated,
+Result<bool> IsExtensibleChecked(const ExtensionPlan& plan,
                                  const Instance& instance,
                                  const Matching& positive_matching,
                                  const common::Deadline* deadline) {
-  return ExtensionCheck(negated, instance, positive_matching, deadline)
+  return ExtensionCheck(plan, instance, positive_matching, deadline)
       .Extensible();
 }
 
@@ -146,10 +170,11 @@ Result<std::vector<Matching>> EvaluateNegated(
   GOOD_ASSIGN_OR_RETURN(
       std::vector<Matching> matchings,
       pattern::Matcher(positive, instance, options).FindAllChecked());
+  const ExtensionPlan plan(negated);
   std::vector<Matching> out;
   for (Matching& m : matchings) {
     GOOD_ASSIGN_OR_RETURN(
-        bool extensible, IsExtensibleChecked(negated, instance, m, deadline));
+        bool extensible, IsExtensibleChecked(plan, instance, m, deadline));
     if (!extensible) out.push_back(std::move(m));
   }
   return out;
@@ -160,7 +185,7 @@ Result<ops::MatchFilter> NegationFilter(const NegatedPattern& negated,
   // Sanity-check the structure up front; the filter itself can then
   // only fail on a deadline interrupt.
   GOOD_RETURN_NOT_OK(negated.PositivePart().status());
-  auto shared = std::make_shared<NegatedPattern>(negated);
+  auto shared = std::make_shared<const ExtensionPlan>(negated);
   return ops::MatchFilter(
       [shared, deadline](const Matching& m,
                          const Instance& instance) -> Result<bool> {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -227,40 +226,56 @@ Status EdgeAddition::Apply(Scheme* scheme, Instance* instance,
   }
 
   // -- Gather the full edge set to add, then run the consistency check
-  //    of Section 3.2 before mutating anything (atomicity).
-  std::set<graph::Edge> to_add;
+  //    of Section 3.2 before mutating anything (atomicity). Sorting
+  //    orders the edges by (source, label, target), so each
+  //    (source, label) group is one run and the insert order is fixed.
+  std::vector<graph::Edge> to_add;
+  to_add.reserve(matchings.size() * edges_.size());
   for (const Matching& matching : matchings) {
     for (const EdgeSpec& spec : edges_) {
-      to_add.insert(graph::Edge{matching.At(spec.source), spec.label,
-                                matching.At(spec.target)});
+      to_add.push_back(graph::Edge{matching.At(spec.source), spec.label,
+                                   matching.At(spec.target)});
     }
   }
+  std::sort(to_add.begin(), to_add.end());
+  to_add.erase(std::unique(to_add.begin(), to_add.end()), to_add.end());
 
-  // Per (source node, label): collect distinct targets (new and old).
-  std::map<std::pair<NodeId, Symbol>, std::set<NodeId>> targets;
-  for (const graph::Edge& edge : to_add) {
-    targets[{edge.source, edge.label}].insert(edge.target);
-  }
-  for (auto& [key, target_set] : targets) {
-    const auto& [source, label] = key;
-    for (NodeId existing : instance->OutTargets(source, label)) {
-      target_set.insert(existing);
+  // Per (source node, label) group: the distinct targets, new and old,
+  // must be at most one for a functional label and equally labeled
+  // otherwise.
+  for (size_t begin = 0, end = 0; begin < to_add.size(); begin = end) {
+    const NodeId source = to_add[begin].source;
+    const Symbol label = to_add[begin].label;
+    end = begin + 1;
+    while (end < to_add.size() && to_add[end].source == source &&
+           to_add[end].label == label) {
+      ++end;
     }
-    if (target_set.size() <= 1) continue;
+    const NodeId first_new = to_add[begin].target;
+    const std::vector<NodeId>& existing = instance->OutTargets(source, label);
+    const bool several =
+        end - begin > 1 ||
+        std::any_of(existing.begin(), existing.end(),
+                    [first_new](NodeId t) { return t != first_new; });
+    if (!several) continue;
     if (scheme->IsFunctionalEdgeLabel(label)) {
       return Status::FailedPrecondition(
           "edge addition undefined: functional label '" + SymName(label) +
           "' would leave node #" + std::to_string(source.id) +
           " towards multiple targets");
     }
-    Symbol first_label = instance->LabelOf(*target_set.begin());
-    for (NodeId t : target_set) {
-      if (instance->LabelOf(t) != first_label) {
-        return Status::FailedPrecondition(
-            "edge addition undefined: '" + SymName(label) +
-            "' successors of node #" + std::to_string(source.id) +
-            " would have unequal labels");
-      }
+    const Symbol first_label = instance->LabelOf(first_new);
+    bool equal_labels = std::all_of(
+        existing.begin(), existing.end(),
+        [&](NodeId t) { return instance->LabelOf(t) == first_label; });
+    for (size_t i = begin + 1; equal_labels && i < end; ++i) {
+      equal_labels = instance->LabelOf(to_add[i].target) == first_label;
+    }
+    if (!equal_labels) {
+      return Status::FailedPrecondition(
+          "edge addition undefined: '" + SymName(label) +
+          "' successors of node #" + std::to_string(source.id) +
+          " would have unequal labels");
     }
   }
 

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -32,6 +33,58 @@ void AbortUnboundPatternNode(uint32_t pattern_node_id) {
 }
 
 }  // namespace internal
+
+void Matching::Grow(uint32_t extent) {
+  if (extent <= kInlineSlots) {
+    std::fill(inline_ + extent_, inline_ + extent, 0u);
+    extent_ = extent;
+    return;
+  }
+  const uint32_t capacity = std::max(extent, 2 * extent_);
+  uint32_t* grown = new uint32_t[capacity]();  // All unbound.
+  std::copy(slots(), slots() + extent_, grown);
+  const uint32_t bound = bound_;
+  Release();
+  heap_ = grown;
+  extent_ = capacity;
+  bound_ = bound;
+}
+
+void Matching::CopyFrom(const Matching& other) {
+  if (other.extent_ > kInlineSlots) {
+    if (extent_ != other.extent_) {
+      Release();
+      heap_ = new uint32_t[other.extent_];
+    }
+    std::copy(other.heap_, other.heap_ + other.extent_, heap_);
+  } else {
+    Release();
+    std::copy(other.inline_, other.inline_ + kInlineSlots, inline_);
+  }
+  extent_ = other.extent_;
+  bound_ = other.bound_;
+}
+
+void Matching::MoveFrom(Matching* other) {
+  Release();
+  if (other->extent_ > kInlineSlots) {
+    heap_ = other->heap_;
+  } else {
+    std::copy(other->inline_, other->inline_ + kInlineSlots, inline_);
+  }
+  extent_ = std::exchange(other->extent_, 0);
+  bound_ = std::exchange(other->bound_, 0);
+}
+
+bool operator==(const Matching& a, const Matching& b) {
+  if (a.bound_ != b.bound_) return false;
+  const Matching& narrow = a.extent_ <= b.extent_ ? a : b;
+  const Matching& wide = a.extent_ <= b.extent_ ? b : a;
+  // Equal bound counts and equal common slots leave the wide tail
+  // unbound.
+  return std::equal(narrow.slots(), narrow.slots() + narrow.extent_,
+                    wide.slots());
+}
 
 MatchStats& MatchStats::operator+=(const MatchStats& other) {
   candidates_scanned += other.candidates_scanned;
@@ -85,64 +138,97 @@ std::string MatchStats::ToString() const {
   return os.str();
 }
 
-void DeltaSet::Finalize() {
-  nodes_.assign(node_set_.begin(), node_set_.end());
-  std::sort(nodes_.begin(), nodes_.end());
-  for (const graph::Edge& e : edge_set_) {
-    sources_by_label_[e.label.id].push_back(e.source);
-    if (e.source == e.target) loops_by_label_[e.label.id].push_back(e.source);
-    adjacency_[AdjacencyKey(e.source, e.label)].push_back(e.target);
+namespace {
+
+const std::vector<graph::NodeId> kEmptyNodeList;
+
+/// Keeps, of `touches` (item, journal sequence, added), each item whose
+/// last touch is an add, in ascending item order.
+template <typename Item>
+std::vector<Item> NetAdditions(
+    std::vector<std::tuple<Item, size_t, bool>>* touches) {
+  std::sort(touches->begin(), touches->end());
+  std::vector<Item> out;
+  for (size_t i = 0; i < touches->size(); ++i) {
+    const auto& [item, seq, added] = (*touches)[i];
+    const bool last = i + 1 == touches->size() ||
+                      std::get<0>((*touches)[i + 1]) != item;
+    if (last && added) out.push_back(item);
   }
-  auto sort_unique = [](std::vector<graph::NodeId>* list) {
-    std::sort(list->begin(), list->end());
-    list->erase(std::unique(list->begin(), list->end()), list->end());
-  };
-  for (auto& [key, list] : sources_by_label_) sort_unique(&list);
-  for (auto& [key, list] : loops_by_label_) sort_unique(&list);
-  for (auto& [key, list] : adjacency_) sort_unique(&list);
-  finalized_ = true;
+  return out;
 }
 
-namespace {
-const std::vector<graph::NodeId> kEmptyNodeList;
 }  // namespace
 
+const DeltaSet::LabelSeeds* DeltaSet::SeedsOf(Symbol label) const {
+  auto it = std::lower_bound(
+      by_label_.begin(), by_label_.end(), label,
+      [](const LabelSeeds& seeds, Symbol l) { return seeds.label < l; });
+  return it != by_label_.end() && it->label == label ? &*it : nullptr;
+}
+
 const std::vector<graph::NodeId>& DeltaSet::EdgeSources(Symbol label) const {
-  auto it = sources_by_label_.find(label.id);
-  return it == sources_by_label_.end() ? kEmptyNodeList : it->second;
+  const LabelSeeds* seeds = SeedsOf(label);
+  return seeds == nullptr ? kEmptyNodeList : seeds->sources;
 }
 
 const std::vector<graph::NodeId>& DeltaSet::SelfLoopSources(
     Symbol label) const {
-  auto it = loops_by_label_.find(label.id);
-  return it == loops_by_label_.end() ? kEmptyNodeList : it->second;
+  const LabelSeeds* seeds = SeedsOf(label);
+  return seeds == nullptr ? kEmptyNodeList : seeds->loop_sources;
 }
 
-const std::vector<graph::NodeId>& DeltaSet::OutTargets(graph::NodeId s,
-                                                       Symbol label) const {
-  auto it = adjacency_.find(AdjacencyKey(s, label));
-  return it == adjacency_.end() ? kEmptyNodeList : it->second;
+std::span<const graph::NodeId> DeltaSet::OutTargets(graph::NodeId s,
+                                                    Symbol label) const {
+  // The (s, label) run of the (source, label, target)-sorted edges.
+  struct BySourceLabel {
+    bool operator()(const graph::Edge& e, const graph::Edge& key) const {
+      return std::tie(e.source, e.label) < std::tie(key.source, key.label);
+    }
+  };
+  const auto [begin, end] =
+      std::equal_range(edges_.begin(), edges_.end(),
+                       graph::Edge{s, label, graph::NodeId{}}, BySourceLabel{});
+  return std::span<const graph::NodeId>(
+      targets_.data() + (begin - edges_.begin()),
+      static_cast<size_t>(end - begin));
 }
 
 DeltaSet BuildDeltaSince(const graph::UndoJournal& journal, size_t mark) {
-  DeltaSet delta;
+  std::vector<std::tuple<graph::NodeId, size_t, bool>> node_touches;
+  std::vector<std::tuple<graph::Edge, size_t, bool>> edge_touches;
+  size_t seq = 0;
   journal.ForEachTouchedSince(
       mark,
-      [&delta](graph::NodeId n, bool added) {
-        if (added) {
-          delta.AddNode(n);
-        } else {
-          delta.RemoveNode(n);
-        }
+      [&](graph::NodeId n, bool added) {
+        node_touches.emplace_back(n, seq++, added);
       },
-      [&delta](graph::NodeId s, Symbol label, graph::NodeId t, bool added) {
-        if (added) {
-          delta.AddEdge(s, label, t);
-        } else {
-          delta.RemoveEdge(s, label, t);
-        }
+      [&](graph::NodeId s, Symbol label, graph::NodeId t, bool added) {
+        edge_touches.emplace_back(graph::Edge{s, label, t}, seq++, added);
       });
-  delta.Finalize();
+  DeltaSet delta;
+  delta.nodes_ = NetAdditions(&node_touches);
+  delta.edges_ = NetAdditions(&edge_touches);
+  // One pass over the sorted edges: sources arrive in ascending order
+  // within every label, so each list only needs a repeat check.
+  delta.targets_.reserve(delta.edges_.size());
+  for (const graph::Edge& e : delta.edges_) {
+    delta.targets_.push_back(e.target);
+    auto it = std::find_if(delta.by_label_.begin(), delta.by_label_.end(),
+                           [&e](const auto& s) { return s.label == e.label; });
+    if (it == delta.by_label_.end()) {
+      it = delta.by_label_.insert(delta.by_label_.end(),
+                                  DeltaSet::LabelSeeds{e.label, {}, {}});
+    }
+    if (it->sources.empty() || it->sources.back() != e.source) {
+      it->sources.push_back(e.source);
+    }
+    if (e.source == e.target) it->loop_sources.push_back(e.source);
+  }
+  std::sort(delta.by_label_.begin(), delta.by_label_.end(),
+            [](const DeltaSet::LabelSeeds& a, const DeltaSet::LabelSeeds& b) {
+              return a.label < b.label;
+            });
   return delta;
 }
 
@@ -731,8 +817,8 @@ class Enumerator {
     assignment_.assign(plan_.order.size(), NodeId{});
     scratch_.resize(plan_.order.size());
     stats_.depth_fanout.assign(plan_.order.size(), 0);
-    // Pre-bind the plan keys so leaf emission only rebinds values.
-    for (NodeId m : plan_.order) matching_scratch_.Bind(m, NodeId{});
+    // Pre-bind every plan node so the leaf only overwrites images.
+    for (NodeId m : plan_.order) matching_scratch_.Bind(m, NodeId{0});
   }
 
   /// The one entry: enumerates the subtrees under the depth-0
@@ -757,6 +843,7 @@ class Enumerator {
         if (!Recurse(1)) break;
       }
     }
+    if (sink->out != nullptr) FlushRows(sink->out);
     sink_ = nullptr;
   }
 
@@ -767,6 +854,21 @@ class Enumerator {
   const Status& interrupt() const { return interrupt_; }
 
  private:
+  /// Appends the buffered rows to `out` as Matchings, in emission
+  /// order.
+  void FlushRows(std::vector<Matching>* out) {
+    const size_t width = plan_.order.size();
+    out->reserve(out->size() + pending_rows_);
+    for (size_t r = 0; r < pending_rows_; ++r) {
+      for (size_t i = 0; i < width; ++i) {
+        matching_scratch_.Bind(plan_.order[i], rows_[r * width + i]);
+      }
+      out->push_back(matching_scratch_);
+    }
+    rows_.clear();
+    pending_rows_ = 0;
+  }
+
   /// Stride-gated deadline poll. Returns false when enumeration must
   /// stop; interrupt_ then holds the reason. Only called when armed_.
   bool PollDeadline() {
@@ -848,7 +950,7 @@ class Enumerator {
       // instance adjacency list; label/print/anchors are then verified
       // against the live instance.
       scratch.clear();
-      const std::vector<NodeId>& base_list =
+      const std::span<const NodeId> base_list =
           delta_->OutTargets(assignment_[0], plan.delta_base_label);
       stats_.candidates_scanned += base_list.size();
       for (NodeId t : base_list) {
@@ -929,14 +1031,19 @@ class Enumerator {
       if (sink_->out == nullptr && sink_->callback == nullptr) {
         return stats_.matchings < limit_;  // Counting: nothing to bind.
       }
-      // Rebind the reused matching in place: keys were pre-bound in the
-      // constructor, so this never rehashes or allocates.
+      if (sink_->out != nullptr) {
+        // Buffered as a row; FlushRows builds the Matchings once the
+        // count is known, so the output grows in one step.
+        rows_.insert(rows_.end(), assignment_.begin(), assignment_.end());
+        ++pending_rows_;
+        return stats_.matchings < limit_;
+      }
+      // Rebind the reused matching in place: every slot was pre-bound
+      // in the constructor, so this only stores images.
       for (size_t i = 0; i < plan_.order.size(); ++i) {
         matching_scratch_.Bind(plan_.order[i], assignment_[i]);
       }
-      if (sink_->out != nullptr) sink_->out->push_back(matching_scratch_);
-      if (sink_->callback != nullptr &&
-          !(*sink_->callback)(matching_scratch_)) {
+      if (!(*sink_->callback)(matching_scratch_)) {
         sink_->stopped = true;
         return false;
       }
@@ -968,6 +1075,11 @@ class Enumerator {
   std::vector<std::vector<NodeId>> scratch_;
   // Reused across leaves; the sink receives it by const reference.
   Matching matching_scratch_;
+  // Images of the matchings bound for sink_->out not yet flushed, one
+  // row of plan_.order.size() per matching (rows are empty for the
+  // empty pattern, hence the separate count).
+  std::vector<NodeId> rows_;
+  size_t pending_rows_ = 0;
   MatchStats stats_;
 };
 

@@ -16,11 +16,12 @@
 #ifndef GOOD_PATTERN_MATCHER_H_
 #define GOOD_PATTERN_MATCHER_H_
 
+#include <algorithm>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -40,12 +41,104 @@ namespace internal {
 
 /// \brief One matching: a total map from pattern nodes to instance
 /// nodes.
+///
+/// Pattern node ids are dense, so the images live in a flat array
+/// indexed by pattern node id. A slot holds the image's id plus one, so
+/// 0 marks an unbound pattern node. Patterns of up to kInlineSlots
+/// nodes keep the array inline, so copying such a matching never
+/// allocates.
 class Matching {
  public:
-  Matching() = default;
+  /// Pattern ids below this are stored without a heap allocation.
+  static constexpr uint32_t kInlineSlots = 6;
 
+  /// A read-only view of the bound (pattern node, image) pairs in
+  /// ascending pattern id order; the pairs are yielded by value.
+  class MapView {
+   public:
+    class Iterator {
+     public:
+      Iterator(const uint32_t* slots, uint32_t index, uint32_t end)
+          : slots_(slots), index_(index), end_(end) {
+        SkipUnbound();
+      }
+      std::pair<graph::NodeId, graph::NodeId> operator*() const {
+        return {graph::NodeId{index_}, graph::NodeId{slots_[index_] - 1}};
+      }
+      Iterator& operator++() {
+        ++index_;
+        SkipUnbound();
+        return *this;
+      }
+      friend bool operator==(const Iterator& a, const Iterator& b) {
+        return a.index_ == b.index_;
+      }
+
+     private:
+      void SkipUnbound() {
+        while (index_ < end_ && slots_[index_] == 0) ++index_;
+      }
+
+      const uint32_t* slots_ = nullptr;
+      uint32_t index_ = 0;
+      uint32_t end_ = 0;
+    };
+
+    MapView(const uint32_t* slots, uint32_t extent, uint32_t bound)
+        : slots_(slots), extent_(extent), bound_(bound) {}
+    Iterator begin() const { return Iterator(slots_, 0, extent_); }
+    Iterator end() const { return Iterator(slots_, extent_, extent_); }
+    size_t size() const { return bound_; }
+
+   private:
+    const uint32_t* slots_;
+    uint32_t extent_;
+    uint32_t bound_;
+  };
+
+  Matching() = default;
+  // The constructors copy inline slots here, where the compiler sees
+  // them: result vectors copy and move every matching they hold.
+  Matching(const Matching& other)
+      : extent_(other.extent_), bound_(other.bound_) {
+    if (extent_ > kInlineSlots) {
+      heap_ = new uint32_t[extent_];
+      std::copy(other.heap_, other.heap_ + extent_, heap_);
+    } else {
+      std::copy(other.inline_, other.inline_ + kInlineSlots, inline_);
+    }
+  }
+  Matching(Matching&& other) noexcept
+      : extent_(std::exchange(other.extent_, 0)),
+        bound_(std::exchange(other.bound_, 0)) {
+    if (extent_ > kInlineSlots) {
+      heap_ = other.heap_;
+    } else {
+      std::copy(other.inline_, other.inline_ + kInlineSlots, inline_);
+    }
+  }
+  Matching& operator=(const Matching& other) {
+    if (this != &other) CopyFrom(other);
+    return *this;
+  }
+  Matching& operator=(Matching&& other) noexcept {
+    if (this != &other) MoveFrom(&other);
+    return *this;
+  }
+  ~Matching() { Release(); }
+
+  /// Maps `pattern_node` to `instance_node`, replacing any earlier
+  /// image. An invalid `instance_node` unbinds `pattern_node`.
   void Bind(graph::NodeId pattern_node, graph::NodeId instance_node) {
-    map_[pattern_node] = instance_node;
+    const uint32_t value = instance_node.id + 1;  // Invalid wraps to 0.
+    if (pattern_node.id >= extent_) {
+      if (value == 0) return;
+      Grow(pattern_node.id + 1);
+    }
+    uint32_t& slot = slots()[pattern_node.id];
+    bound_ += static_cast<uint32_t>(value != 0) -
+              static_cast<uint32_t>(slot != 0);
+    slot = value;
   }
 
   /// The instance node a pattern node is mapped to. The pattern node
@@ -54,33 +147,63 @@ class Matching {
   /// so misuse on concurrent paths is immediately attributable. Use
   /// Find() for a non-fatal checked lookup.
   graph::NodeId At(graph::NodeId pattern_node) const {
-    auto it = map_.find(pattern_node);
-    if (it == map_.end()) internal::AbortUnboundPatternNode(pattern_node.id);
-    return it->second;
+    const graph::NodeId image = Image(pattern_node);
+    if (!image.valid()) internal::AbortUnboundPatternNode(pattern_node.id);
+    return image;
   }
 
   /// Checked lookup: the mapped instance node, or nullopt when
   /// `pattern_node` is not bound.
   std::optional<graph::NodeId> Find(graph::NodeId pattern_node) const {
-    auto it = map_.find(pattern_node);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
+    const graph::NodeId image = Image(pattern_node);
+    if (!image.valid()) return std::nullopt;
+    return image;
   }
 
   bool Contains(graph::NodeId pattern_node) const {
-    return map_.contains(pattern_node);
+    return Image(pattern_node).valid();
   }
 
-  size_t size() const { return map_.size(); }
+  /// Number of bound pattern nodes.
+  size_t size() const { return bound_; }
 
-  const std::unordered_map<graph::NodeId, graph::NodeId>& map() const {
-    return map_;
-  }
+  /// The bound (pattern node, image) pairs, ascending by pattern id.
+  MapView map() const { return MapView(slots(), extent_, bound_); }
 
-  friend bool operator==(const Matching&, const Matching&) = default;
+  /// Equal iff both bind the same pattern nodes to the same images.
+  friend bool operator==(const Matching& a, const Matching& b);
 
  private:
-  std::unordered_map<graph::NodeId, graph::NodeId> map_;
+  uint32_t* slots() { return extent_ > kInlineSlots ? heap_ : inline_; }
+  const uint32_t* slots() const {
+    return extent_ > kInlineSlots ? heap_ : inline_;
+  }
+  /// The image of `pattern_node`, invalid when unbound.
+  graph::NodeId Image(graph::NodeId pattern_node) const {
+    return graph::NodeId{
+        pattern_node.id < extent_ ? slots()[pattern_node.id] - 1
+                                  : graph::NodeId::kInvalid};
+  }
+  /// Widens the slot array to at least `extent` slots.
+  void Grow(uint32_t extent);
+  void CopyFrom(const Matching& other);
+  void MoveFrom(Matching* other);
+  /// Frees the heap slots, if any, and leaves no slot.
+  void Release() {
+    if (extent_ > kInlineSlots) delete[] heap_;
+    extent_ = 0;
+    bound_ = 0;
+  }
+
+  /// Slots [0, extent_) exist and bound_ of them are non-zero; slots
+  /// past extent_ hold garbage. They live in inline_ while extent_ <=
+  /// kInlineSlots, else in heap_.
+  uint32_t extent_ = 0;
+  uint32_t bound_ = 0;
+  union {
+    uint32_t inline_[kInlineSlots] = {};
+    uint32_t* heap_;
+  };
 };
 
 /// \brief Counters describing one (or several, accumulated) enumeration
@@ -145,17 +268,25 @@ inline constexpr size_t kDefaultParallelThreshold = 64;
 /// rules::RuleEngine::set_delta_fallback_fraction.
 inline constexpr double kDefaultDeltaFallbackFraction = 0.75;
 
+class DeltaSet;
+
+/// Builds the DeltaSet of the journal window [mark, end). `mark` is a
+/// graph::UndoJournal::Mark.
+DeltaSet BuildDeltaSince(const graph::UndoJournal& journal, size_t mark);
+
 /// \brief The set of nodes and edges a journal window touched — the
-/// "delta" of semi-naive evaluation (ISSUE 8 / ROADMAP item 1).
+/// "delta" of semi-naive evaluation.
 ///
-/// Built in journal order from graph::UndoJournal::ForEachTouchedSince
-/// (an add followed by a remove of the same item nets out, so a window
-/// that created and rolled back an edge exposes nothing), then
-/// Finalize()d once to materialize the sorted seed lists the matcher
-/// enumerates: delta nodes, per-label delta-edge sources, and the delta
-/// adjacency (source, label) -> targets. All lists are ascending-id
-/// sorted so delta-seeded enumeration is deterministic regardless of
-/// journal order.
+/// BuildDeltaSince is the only producer. It collects the window's node
+/// and edge touches from graph::UndoJournal::ForEachTouchedSince,
+/// orders them by item and then by journal sequence, and keeps each
+/// item whose last touch is an add: an add followed by a remove nets
+/// out (a window that created and rolled back an edge exposes nothing),
+/// a remove followed by an add leaves the item, and removing an item
+/// that predates the window contributes nothing. Everything is held in
+/// ascending-id sorted vectors, so delta-seeded enumeration is
+/// deterministic regardless of journal order and membership is a binary
+/// search.
 ///
 /// A DeltaSet describes *additions*. Removal entries subtract matching
 /// additions within the window (exact for the rule engine, whose
@@ -164,31 +295,19 @@ inline constexpr double kDefaultDeltaFallbackFraction = 0.75;
 /// naively.
 class DeltaSet {
  public:
-  // ---- Build phase (call in journal order, then Finalize once) -----
-  void AddNode(graph::NodeId n) { node_set_.insert(n); }
-  void RemoveNode(graph::NodeId n) { node_set_.erase(n); }
-  void AddEdge(graph::NodeId s, Symbol label, graph::NodeId t) {
-    edge_set_.insert(graph::Edge{s, label, t});
+  bool empty() const { return nodes_.empty() && edges_.empty(); }
+  size_t num_nodes() const { return nodes_.size(); }
+  size_t num_edges() const { return edges_.size(); }
+
+  bool ContainsNode(graph::NodeId n) const {
+    return std::binary_search(nodes_.begin(), nodes_.end(), n);
   }
-  void RemoveEdge(graph::NodeId s, Symbol label, graph::NodeId t) {
-    edge_set_.erase(graph::Edge{s, label, t});
-  }
-
-  /// Materializes the sorted seed lists. Call exactly once, after the
-  /// last mutation; the query accessors below require it.
-  void Finalize();
-
-  bool finalized() const { return finalized_; }
-  bool empty() const { return node_set_.empty() && edge_set_.empty(); }
-  size_t num_nodes() const { return node_set_.size(); }
-  size_t num_edges() const { return edge_set_.size(); }
-
-  bool ContainsNode(graph::NodeId n) const { return node_set_.contains(n); }
   bool ContainsEdge(graph::NodeId s, Symbol label, graph::NodeId t) const {
-    return edge_set_.contains(graph::Edge{s, label, t});
+    return std::binary_search(edges_.begin(), edges_.end(),
+                              graph::Edge{s, label, t});
   }
 
-  // ---- Seed lists (Finalize() required; ascending-id sorted) -------
+  // ---- Seed lists (ascending-id sorted) -----------------------------
 
   /// Every delta node.
   const std::vector<graph::NodeId>& nodes() const { return nodes_; }
@@ -197,27 +316,30 @@ class DeltaSet {
   /// Distinct sources s of delta self-loops (s, label, s).
   const std::vector<graph::NodeId>& SelfLoopSources(Symbol label) const;
   /// Targets t of delta edges (s, label, t) — the delta adjacency.
-  const std::vector<graph::NodeId>& OutTargets(graph::NodeId s,
-                                               Symbol label) const;
+  std::span<const graph::NodeId> OutTargets(graph::NodeId s,
+                                            Symbol label) const;
 
  private:
-  static uint64_t AdjacencyKey(graph::NodeId s, Symbol label) {
-    return (static_cast<uint64_t>(s.id) << 32) | label.id;
-  }
+  friend DeltaSet BuildDeltaSince(const graph::UndoJournal& journal,
+                                  size_t mark);
 
-  std::unordered_set<graph::NodeId> node_set_;
-  std::unordered_set<graph::Edge, graph::EdgeHash> edge_set_;
-  bool finalized_ = false;
+  /// The seed lists of one edge label.
+  struct LabelSeeds {
+    Symbol label;
+    std::vector<graph::NodeId> sources;
+    std::vector<graph::NodeId> loop_sources;
+  };
+
+  const LabelSeeds* SeedsOf(Symbol label) const;
+
   std::vector<graph::NodeId> nodes_;
-  std::unordered_map<uint32_t, std::vector<graph::NodeId>> sources_by_label_;
-  std::unordered_map<uint32_t, std::vector<graph::NodeId>> loops_by_label_;
-  std::unordered_map<uint64_t, std::vector<graph::NodeId>> adjacency_;
+  /// Sorted by (source, label, target); targets_[i] is edges_[i].target,
+  /// so the (s, label) run of edges_ is s's delta adjacency.
+  std::vector<graph::Edge> edges_;
+  std::vector<graph::NodeId> targets_;
+  /// Ascending by label id.
+  std::vector<LabelSeeds> by_label_;
 };
-
-/// Builds the Finalize()d DeltaSet of the journal window [mark, end):
-/// one ForEachTouchedSince pass with removals netting out matching
-/// additions, then Finalize. `mark` is a graph::UndoJournal::Mark.
-DeltaSet BuildDeltaSince(const graph::UndoJournal& journal, size_t mark);
 
 /// \brief Join-order planning mode.
 enum class PlannerMode {
@@ -280,7 +402,7 @@ struct MatchOptions {
   /// serial and parallel engines (byte-identical, as for full runs —
   /// though the order differs from a full enumeration's). The empty
   /// pattern's sole matching predates any delta, so it yields zero
-  /// matchings here. The DeltaSet must be Finalize()d.
+  /// matchings here.
   const DeltaSet* delta = nullptr;
 };
 

@@ -1,9 +1,7 @@
 #include "server/protocol.h"
 
-#include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -69,23 +67,19 @@ bool TakesBody(std::string_view command) {
 
 /// One line per matching: "p->n" pairs in pattern-node order.
 std::string RenderMatchings(const std::vector<pattern::Matching>& matchings) {
-  std::ostringstream out;
+  std::string out;
   for (const pattern::Matching& matching : matchings) {
-    std::vector<std::pair<uint32_t, uint32_t>> pairs;
-    pairs.reserve(matching.map().size());
-    for (const auto& [pattern_node, instance_node] : matching.map()) {
-      pairs.emplace_back(pattern_node.id, instance_node.id);
-    }
-    std::sort(pairs.begin(), pairs.end());
     bool first = true;
-    for (const auto& [p, n] : pairs) {
-      if (!first) out << ' ';
+    for (const auto& [pattern_node, instance_node] : matching.map()) {
+      if (!first) out += ' ';
       first = false;
-      out << p << "->" << n;
+      out += std::to_string(pattern_node.id);
+      out += "->";
+      out += std::to_string(instance_node.id);
     }
-    out << '\n';
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 /// The largest `deadline <ms>` budget accepted: one year. Larger counts

@@ -256,6 +256,71 @@ TEST(EdgeAdditionTest, FunctionalConflictWithExistingEdge) {
   EXPECT_TRUE(ea.Apply(&db.scheme, &db.instance).IsFailedPrecondition());
 }
 
+/// Adds an object label "Tag" with a multivalued "about" edge from
+/// Doc to Tag, and gives d1 one Tag via "about".
+NodeId TagD1(Db* db) {
+  db->scheme.EnsureObjectLabel(Sym("Tag")).OrDie();
+  db->scheme.EnsureMultivaluedEdgeLabel(Sym("about")).OrDie();
+  db->scheme.EnsureTriple(Sym("Doc"), Sym("about"), Sym("Tag")).OrDie();
+  NodeId tag = *db->instance.AddObjectNode(db->scheme, Sym("Tag"));
+  db->instance.AddEdge(db->scheme, db->d1, Sym("about"), tag).OrDie();
+  return tag;
+}
+
+TEST(EdgeAdditionTest, UnequalLabelsAgainstExistingTargetAreRejected) {
+  // d1 is "about" a Tag; adding "about" edges from every doc to the
+  // docs it refs would give d1 a Doc and a Tag successor.
+  Db db = MakeDb();
+  TagD1(&db);
+  GraphBuilder b(db.scheme);
+  NodeId x = b.Object("Doc");
+  NodeId y = b.Object("Doc");
+  b.Edge(x, "refs", y);
+  EdgeAddition ea(b.BuildOrDie(),
+                  {EdgeSpec{x, Sym("about"), y, /*functional=*/false}});
+  const Instance instance_before = db.instance;
+  const Scheme scheme_before = db.scheme;
+  Status status = ea.Apply(&db.scheme, &db.instance);
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  // The up-front Section 3.2 check, not the instance's own edge check.
+  EXPECT_NE(status.ToString().find("edge addition undefined: 'about' "
+                                   "successors of node #" +
+                                   std::to_string(db.d1.id) +
+                                   " would have unequal labels"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(db.instance.Fingerprint(), instance_before.Fingerprint());
+  EXPECT_TRUE(db.scheme == scheme_before);
+}
+
+TEST(EdgeAdditionTest, UnequalLabelsWithinOneBatchAreRejected) {
+  // No "about" edge exists yet; one rule adds two from d1, towards a
+  // Doc (refs) and a Str (title).
+  Db db = MakeDb();
+  GraphBuilder b(db.scheme);
+  NodeId x = b.Object("Doc");
+  NodeId y = b.Object("Doc");
+  NodeId t = b.Printable("Str");
+  b.Edge(x, "refs", y).Edge(x, "title", t);
+  EdgeAddition ea(b.BuildOrDie(),
+                  {EdgeSpec{x, Sym("about"), y, /*functional=*/false},
+                   EdgeSpec{x, Sym("about"), t, /*functional=*/false}});
+  const Instance instance_before = db.instance;
+  const Scheme scheme_before = db.scheme;
+  Status status = ea.Apply(&db.scheme, &db.instance);
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  // The up-front Section 3.2 check, not the instance's own edge check.
+  EXPECT_NE(status.ToString().find("edge addition undefined: 'about' "
+                                   "successors of node #" +
+                                   std::to_string(db.d1.id) +
+                                   " would have unequal labels"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(db.instance.Fingerprint(), instance_before.Fingerprint());
+  EXPECT_TRUE(db.scheme == scheme_before);
+  EXPECT_FALSE(db.scheme.HasLabel(Sym("about")));
+}
+
 TEST(EdgeAdditionTest, KindDisagreementIsRejected) {
   Db db = MakeDb();
   GraphBuilder b(db.scheme);

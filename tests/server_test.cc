@@ -569,6 +569,25 @@ TEST(ProtocolTest, ExecCountCommitOverTheWire) {
   ASSERT_TRUE(server->Close().ok());
 }
 
+/// The match reply pinned byte for byte on Figure 4's four-node
+/// pattern: one line per matching, "p->n" pairs in ascending pattern
+/// node order, then the dot terminator.
+TEST(ProtocolTest, MatchReplyBytesArePinned) {
+  std::string dir = MakeTempDir();
+  auto server = OpenPaperServer(dir);
+  Connection connection(server.get());
+  const Scheme& scheme = connection.session().view().scheme;
+  auto fig4 = hm::Fig4Pattern(scheme).ValueOrDie();
+  ASSERT_EQ(fig4.pattern.num_nodes(), 4u);
+  std::string pattern_text = program::WritePattern(scheme, fig4.pattern);
+  EXPECT_EQ(RoundTrip(&connection, "match\n" + DotStuff(pattern_text)),
+            "ok+ matchings 2\n"
+            "0->1 1->5 2->13 3->16\n"
+            "0->1 1->6 2->13 3->16\n"
+            ".\n");
+  ASSERT_TRUE(server->Close().ok());
+}
+
 TEST(ProtocolTest, FailedExecBodyRollsBackWholeBody) {
   std::string dir = MakeTempDir();
   auto server = OpenPaperServer(dir);
