@@ -10,6 +10,13 @@
 ///
 /// Two evaluation routes are provided, and tests check they agree:
 ///  - Direct: enumerate positive matchings, reject the extensible ones.
+///    Whether a positive matching extends is a NOT EXISTS over the full
+///    pattern with the positive nodes already bound. With no crossed
+///    node it takes one edge probe per crossed edge (the matching
+///    already realizes every other edge); with crossed nodes it is one
+///    Matcher::ExistsChecked call with the positive nodes pinned, so the
+///    crossed part gets the matcher's cost-based order, candidates from
+///    the bound images' adjacency lists, and its deadline polls.
 ///  - Translation (Figure 27): a node addition tags every positive
 ///    matching with an Intermediate node (one functional edge per
 ///    positive pattern node), a node deletion removes the Intermediate
@@ -45,14 +52,27 @@ struct NegatedPattern {
   std::vector<graph::Edge> crossed_edges;
 
   /// The positive sub-pattern: `full` restricted to `positive_nodes`
-  /// minus `crossed_edges`.
+  /// minus `crossed_edges`. InvalidArgument when `positive_nodes`
+  /// names a node outside `full` or repeats one, or a crossed edge is
+  /// not an edge of `full`.
   Result<Pattern> PositivePart() const;
+
+  /// True iff `full` has a node outside `positive_nodes`. Meaningful
+  /// once PositivePart() has accepted the lists.
+  bool HasCrossedNodes() const {
+    return full.num_nodes() > positive_nodes.size();
+  }
+
+  /// True iff anything is crossed: a node or an edge. Without that,
+  /// every positive matching trivially extends and no filter is needed.
+  bool Negates() const { return HasCrossedNodes() || !crossed_edges.empty(); }
 };
 
 /// \brief Direct semantics: matchings of the positive part (restricted
 /// to positive nodes) that cannot be extended to a matching of `full`.
 /// A non-null armed `deadline` interrupts both the positive-part
-/// matching and the extension checks with kDeadlineExceeded/kCancelled.
+/// matching and the extension checks with kDeadlineExceeded/kCancelled;
+/// every check observes an already-expired deadline up front.
 Result<std::vector<Matching>> EvaluateNegated(
     const NegatedPattern& negated, const graph::Instance& instance,
     const common::Deadline* deadline = nullptr);

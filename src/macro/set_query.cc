@@ -44,10 +44,7 @@ Result<NodeId> RunSetQuery(const SetQuery& query, Scheme* scheme,
       std::move(with_answer),
       {ops::EdgeSpec{answer_node, query.member_edge, query.collect,
                      /*functional=*/false}});
-  const bool negated = !query.condition.crossed_edges.empty() ||
-                       query.condition.full.num_nodes() >
-                           query.condition.positive_nodes.size();
-  if (negated) {
+  if (query.condition.Negates()) {
     GOOD_ASSIGN_OR_RETURN(ops::MatchFilter filter,
                           NegationFilter(query.condition));
     ea.set_filter(std::move(filter));

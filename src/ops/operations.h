@@ -42,7 +42,7 @@ using pattern::Pattern;
 /// added by earlier fixpoint rounds, Figure 29).
 ///
 /// Filters return Result<bool> so a filter that itself searches the
-/// instance (negation filters run a backtracking extension check) can
+/// instance (negation filters probe edges or run a matcher) can
 /// surface kDeadlineExceeded/kCancelled instead of masking an interrupt
 /// as "rejected". Plain predicate lambdas returning bool convert
 /// implicitly — only interrupt-aware filters need to spell Result out.

@@ -600,8 +600,8 @@ SearchPlan BuildSeededSearchPlan(const Pattern& pattern,
 
 /// True iff instance node `t` is alive and carries pattern node m's
 /// label and, when m has one, its print value. Delta lists are raw
-/// journal footprints with no label information, so every candidate
-/// drawn from them is checked this way.
+/// journal footprints with no label information, and bound images are
+/// the caller's, so every candidate drawn from them is checked this way.
 bool Admits(const Pattern& pattern, NodeId m, const Instance& instance,
             NodeId t) {
   if (!instance.HasNode(t) || instance.LabelOf(t) != pattern.LabelOf(m)) {
@@ -618,7 +618,7 @@ bool Admits(const Pattern& pattern, NodeId m, const Instance& instance,
 /// run reads the printable index (at most one node) or the label index.
 /// A delta-seeded run filters its seed list `seeds` against the live
 /// instance, charging every entry as scanned and the dropped ones as
-/// rejected.
+/// rejected; a pinned run does the same with its bound image.
 std::vector<NodeId> Roots(const Pattern& pattern, const Instance& instance,
                           NodeId m, const std::vector<NodeId>* seeds,
                           MatchStats* stats) {
@@ -653,10 +653,12 @@ std::vector<NodeId> Roots(const Pattern& pattern, const Instance& instance,
 /// pattern's structural fingerprint — node ids with labels and a
 /// has-print marker (the print *value* is irrelevant — the plan reads
 /// values from the live pattern at enumeration time and the cost model
-/// only cares that the set is pinned to ≤1), plus every edge. Any
-/// mutation bumps the epoch, so stale plans simply stop being found and
-/// age out of the LRU.
-std::string PlanKey(const Pattern& pattern, uint64_t epoch) {
+/// only cares that the set is pinned to ≤1), plus every edge, plus the
+/// nodes `pinned` to a bound image (ExistsChecked). Any mutation bumps
+/// the epoch, so stale plans simply stop being found and age out of the
+/// LRU.
+std::string PlanKey(const Pattern& pattern, uint64_t epoch,
+                    const std::vector<NodeId>& pinned) {
   std::string key;
   key += 'e';
   key.append(std::to_string(epoch));
@@ -672,6 +674,11 @@ std::string PlanKey(const Pattern& pattern, uint64_t epoch) {
       key += '>';
       key.append(std::to_string(target.id));
     }
+  }
+  if (!pinned.empty()) key += "|pin";
+  for (NodeId m : pinned) {
+    key += ',';
+    key.append(std::to_string(m.id));
   }
   return key;
 }
@@ -755,15 +762,16 @@ class PlanCache {
 /// The single full-plan acquisition point for every Matcher entry path:
 /// the global cache (cost-based plans with caching enabled), build on
 /// miss, and planner-observability recording into MatchOptions::stats.
-std::shared_ptr<const SearchPlan> AcquirePlan(const Pattern& pattern,
-                                              const Instance& instance,
-                                              const MatchOptions& options) {
+/// The `pinned` nodes (ascending id) form the plan's forced prefix.
+std::shared_ptr<const SearchPlan> AcquirePlan(
+    const Pattern& pattern, const Instance& instance,
+    const MatchOptions& options, const std::vector<NodeId>& pinned) {
   std::shared_ptr<const SearchPlan> plan;
   const bool cacheable =
       options.planner == PlannerMode::kCostBased && options.use_plan_cache;
   std::string key;
   if (cacheable) {
-    key = PlanKey(pattern, instance.stats_epoch());
+    key = PlanKey(pattern, instance.stats_epoch(), pinned);
     plan = PlanCache::Get().Lookup(key);
     if (options.stats != nullptr) {
       if (plan != nullptr) {
@@ -774,8 +782,12 @@ std::shared_ptr<const SearchPlan> AcquirePlan(const Pattern& pattern,
     }
   }
   if (plan == nullptr) {
-    plan = std::make_shared<const SearchPlan>(
-        BuildSearchPlan(pattern, instance, options.planner));
+    SearchPlan built =
+        BuildSearchPlan(pattern, instance, options.planner, pinned);
+    // A pinned node has one candidate, its bound image.
+    std::fill_n(built.est_fanout.begin(),
+                std::min(pinned.size(), built.est_fanout.size()), 1.0);
+    plan = std::make_shared<const SearchPlan>(std::move(built));
     if (cacheable) PlanCache::Get().Insert(key, plan);
   }
   if (options.stats != nullptr) {
@@ -802,15 +814,19 @@ class Enumerator {
  public:
   /// `delta` (delta-seeded runs only) is what the plan's DeltaEdgeCheck
   /// / exclude_delta_node / delta_only_base constraints evaluate
-  /// against. `deadline` (optional) is polled every kPollStride
-  /// candidate visits.
+  /// against. `bound` (pinned runs only) holds the images of the plan's
+  /// first bound->size() nodes. `deadline` (optional) is polled every
+  /// kPollStride candidate visits.
   Enumerator(const Pattern& pattern, const Instance& instance,
-             const SearchPlan& plan, const DeltaSet* delta, size_t limit,
+             const SearchPlan& plan, const DeltaSet* delta,
+             const Matching* bound, size_t limit,
              const common::Deadline* deadline)
       : pattern_(pattern),
         instance_(instance),
         plan_(plan),
         delta_(delta),
+        bound_(bound),
+        pinned_(bound != nullptr ? bound->size() : 0),
         limit_(limit),
         deadline_(deadline),
         armed_(deadline != nullptr && deadline->armed()) {
@@ -945,13 +961,17 @@ class Enumerator {
   const std::vector<NodeId>& Candidates(size_t depth) {
     const DepthPlan& plan = plan_.plans[depth];
     std::vector<NodeId>& scratch = scratch_[depth];
-    if (plan.delta_only_base) {
-      // Walk the delta adjacency of the seed edge instead of an
-      // instance adjacency list; label/print/anchors are then verified
-      // against the live instance.
+    if (plan.delta_only_base || depth < pinned_) {
+      // Walk the delta adjacency of the seed edge, or take a pinned
+      // node's bound image, instead of an instance adjacency list;
+      // label/print/anchors are then verified against the live
+      // instance.
       scratch.clear();
+      const NodeId image = depth < pinned_ ? bound_->At(plan.m) : NodeId{};
       const std::span<const NodeId> base_list =
-          delta_->OutTargets(assignment_[0], plan.delta_base_label);
+          depth < pinned_
+              ? std::span<const NodeId>(&image, 1)
+              : delta_->OutTargets(assignment_[0], plan.delta_base_label);
       stats_.candidates_scanned += base_list.size();
       for (NodeId t : base_list) {
         bool in_all = Admits(pattern_, plan.m, instance_, t);
@@ -1064,6 +1084,8 @@ class Enumerator {
   const Instance& instance_;
   const SearchPlan& plan_;
   const DeltaSet* delta_;
+  const Matching* bound_;
+  const size_t pinned_;  // Depths [0, pinned_) take bound_'s images.
   size_t limit_;
   const common::Deadline* deadline_;
   const bool armed_;
@@ -1084,7 +1106,8 @@ class Enumerator {
 };
 
 /// The one driver under every entry point: enumerates `plan` over its
-/// depth-0 candidates `roots` into `sink`, adds the run's stats to
+/// depth-0 candidates `roots` (pinned to `bound`'s images, if any) into
+/// `sink`, adds the run's stats to
 /// options.stats and its matching count to *emitted. The run is chunked
 /// over the calling thread plus up to num_threads - 1 forked ones when
 /// options.num_threads > 0, there is no limit and no callback, the plan
@@ -1096,8 +1119,8 @@ class Enumerator {
 /// an interrupt, returns its status after adding the partial stats.
 Status Enumerate(const Pattern& pattern, const Instance& instance,
                  const SearchPlan& plan, const std::vector<NodeId>& roots,
-                 const DeltaSet* delta, const MatchOptions& options,
-                 Sink* sink, size_t* emitted) {
+                 const DeltaSet* delta, const Matching* bound,
+                 const MatchOptions& options, Sink* sink, size_t* emitted) {
   const bool parallel = options.num_threads > 0 &&
                         options.limit == kNoLimit &&
                         sink->callback == nullptr && !plan.order.empty() &&
@@ -1109,8 +1132,8 @@ Status Enumerate(const Pattern& pattern, const Instance& instance,
   std::vector<Enumerator> per_worker;
   per_worker.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    per_worker.emplace_back(pattern, instance, plan, delta, options.limit,
-                            options.deadline);
+    per_worker.emplace_back(pattern, instance, plan, delta, bound,
+                            options.limit, options.deadline);
   }
   size_t num_chunks = 1;
   if (!parallel) {
@@ -1172,13 +1195,15 @@ Status Enumerate(const Pattern& pattern, const Instance& instance,
 }
 
 /// The sequence behind every entry point: the up-front deadline check,
-/// then one Enumerate over the (possibly cached) full plan, or — for a
-/// delta-seeded run — one per seed item in the fixed item order, each
-/// over its own seeded plan and filtered seed list, with the limit
-/// carried across items. `*emitted` counts the matchings delivered, also
-/// when an interrupt cuts the run short.
+/// then one Enumerate over the (possibly cached) full plan — its prefix
+/// pinned to the nodes `bound` maps, if any — or, for a delta-seeded
+/// run, one per seed item in the fixed item order, each over its own
+/// seeded plan and filtered seed list, with the limit carried across
+/// items. `*emitted` counts the matchings delivered, also when an
+/// interrupt cuts the run short.
 Status Match(const Pattern& pattern, const Instance& instance,
-             const MatchOptions& options, Sink* sink, size_t* emitted) {
+             const MatchOptions& options, Sink* sink, size_t* emitted,
+             const Matching* bound = nullptr) {
   *emitted = 0;
   // Tiny enumerations may finish under the poll stride, so an
   // already-expired deadline must still be observed.
@@ -1186,15 +1211,23 @@ Status Match(const Pattern& pattern, const Instance& instance,
     GOOD_RETURN_NOT_OK(options.deadline->Check());
   }
   if (options.delta == nullptr) {
+    std::vector<NodeId> pinned;
+    if (bound != nullptr) {
+      for (const auto& [m, image] : bound->map()) pinned.push_back(m);
+    }
     std::shared_ptr<const SearchPlan> plan =
-        AcquirePlan(pattern, instance, options);
+        AcquirePlan(pattern, instance, options, pinned);
     std::vector<NodeId> roots;
     // A limit of 0 ends the run before depth 0 is read.
     if (!plan->order.empty() && options.limit > 0) {
-      roots = Roots(pattern, instance, plan->order[0], nullptr, options.stats);
+      // A pinned depth 0 has its bound image as its one seed.
+      std::vector<NodeId> image;
+      if (!pinned.empty()) image.push_back(bound->At(pinned[0]));
+      roots = Roots(pattern, instance, plan->order[0],
+                    pinned.empty() ? nullptr : &image, options.stats);
     }
-    return Enumerate(pattern, instance, *plan, roots, nullptr, options, sink,
-                     emitted);
+    return Enumerate(pattern, instance, *plan, roots, nullptr, bound, options,
+                     sink, emitted);
   }
   const DeltaSet& delta = *options.delta;
   const std::vector<SeedItem> items = BuildSeedItems(pattern);
@@ -1216,7 +1249,7 @@ Status Match(const Pattern& pattern, const Instance& instance,
     MatchOptions item_options = options;
     if (options.limit != kNoLimit) item_options.limit -= *emitted;
     GOOD_RETURN_NOT_OK(Enumerate(pattern, instance, plan, roots, &delta,
-                                 item_options, sink, emitted));
+                                 nullptr, item_options, sink, emitted));
   }
   return Status::OK();
 }
@@ -1248,11 +1281,20 @@ Result<size_t> Matcher::CountChecked() const {
   return count;
 }
 
-Result<bool> Matcher::ExistsChecked() const {
+Result<bool> Matcher::ExistsChecked(const Matching& bound) const {
+  for (const auto& [m, image] : bound.map()) {
+    if (!pattern_.HasNode(m)) return false;  // No matching maps m.
+  }
+  if (bound.size() > 0 && options_.delta != nullptr) {
+    return Status::InvalidArgument(
+        "ExistsChecked cannot pin nodes of a delta-seeded run");
+  }
   MatchOptions limited = options_;
   limited.limit = std::min<size_t>(options_.limit, 1);
-  Matcher bounded(pattern_, instance_, limited);
-  GOOD_ASSIGN_OR_RETURN(size_t count, bounded.CountChecked());
+  Sink sink;
+  size_t count = 0;
+  GOOD_RETURN_NOT_OK(
+      Match(pattern_, instance_, limited, &sink, &count, &bound));
   return count > 0;
 }
 

@@ -430,7 +430,8 @@ class Matcher {
   // Every entry point reports interrupts: when MatchOptions::deadline
   // expires or its cancel token fires, it stops promptly and surfaces
   // kDeadlineExceeded / kCancelled instead of a partial result. Without
-  // a configured deadline it never fails.
+  // a configured deadline it never fails (ExistsChecked also rejects a
+  // bound delta run).
 
   /// All matchings. With MatchOptions::num_threads > 0 and a large
   /// enough depth-0 candidate list, the calling thread and up to
@@ -452,12 +453,19 @@ class Matcher {
   Status ForEachChecked(const std::function<bool(const Matching&)>& callback,
                         size_t* visited = nullptr) const;
 
-  /// True iff at least one matching exists. An interrupt is an error —
-  /// a timed-out existence check must NOT read as "no match" (negation
-  /// filters would treat it as a definitive negative). Honors the
-  /// caller's MatchOptions (stats still accumulate; a limit of 0 means
-  /// no matching can be observed, so the result is false).
-  Result<bool> ExistsChecked() const;
+  /// True iff at least one matching agrees with `bound` on every
+  /// pattern node `bound` maps (any matching at all for the empty
+  /// default; false when `bound` maps a node outside the pattern). The
+  /// bound nodes are planned first, each with its bound image as the
+  /// one candidate, checked like any other candidate; the cost-based
+  /// order then places the rest, drawing candidates from the bound
+  /// images' adjacency lists. An interrupt is an error — a timed-out
+  /// existence check must NOT read as "no match" (negation filters
+  /// would treat it as a definitive negative). Honors the caller's
+  /// MatchOptions (stats still accumulate; a limit of 0 means no
+  /// matching can be observed, so the result is false), except that a
+  /// non-empty `bound` with MatchOptions::delta set is InvalidArgument.
+  Result<bool> ExistsChecked(const Matching& bound = {}) const;
 
  private:
   const Pattern& pattern_;

@@ -50,18 +50,6 @@ Status RuleEngine::AddRule(Rule rule) {
   return Status::OK();
 }
 
-namespace {
-
-/// True iff the condition actually negates something — only then is the
-/// crossed-extension filter meaningful (with no crossed parts, every
-/// matching trivially "extends to the full pattern").
-bool HasNegation(const macros::NegatedPattern& condition) {
-  return !condition.crossed_edges.empty() ||
-         condition.full.num_nodes() > condition.positive_nodes.size();
-}
-
-}  // namespace
-
 Status RuleEngine::ApplyRule(const Rule& rule, Scheme* scheme,
                              Instance* instance,
                              const pattern::DeltaSet* delta,
@@ -70,10 +58,10 @@ Status RuleEngine::ApplyRule(const Rule& rule, Scheme* scheme,
   GOOD_ASSIGN_OR_RETURN(pattern::Pattern positive,
                         rule.condition.PositivePart());
   ops::MatchFilter filter;
-  if (HasNegation(rule.condition)) {
-    // The crossed-extension check runs its own matcher against the
-    // instance passed at filter time — the full current database, never
-    // the delta. Negation stays non-monotone-correct under delta
+  if (rule.condition.Negates()) {
+    // The negation check probes (or matches against) the instance
+    // passed at filter time — the full current database, never the
+    // delta. Negation stays non-monotone-correct under delta
     // seeding because growth can only turn accepted matchings into
     // rejected ones (any newly-rejected matching already fired when it
     // was accepted, and additions are idempotent).

@@ -16,6 +16,7 @@
 #include "graph/isomorphism.h"
 #include "hypermedia/hypermedia.h"
 #include "hypermedia/methods.h"
+#include "macro/negation.h"
 #include "method/method.h"
 #include "pattern/builder.h"
 #include "pattern/matcher.h"
@@ -326,6 +327,130 @@ TEST_P(PlannerDifferentialTest, CostAndNaivePlansEnumerateTheSameSet) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerDifferentialTest,
+                         ::testing::Range(0, 30));
+
+/// Negation differential on random document graphs and random negated
+/// patterns: EvaluateNegated and NegationFilter must both return exactly
+/// the positive matchings that no full-pattern matching projects onto,
+/// with both sides computed by brute force. Patterns have 0-3 positive
+/// and 0-3 crossed nodes; seed % 6 forces one shape per residue (an
+/// empty positive part, a crossed self-loop, a print-valued crossed
+/// node, a crossed node with no edge to any positive node, crossed
+/// edges between positive nodes only, three crossed nodes).
+class NegationDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(NegationDifferentialTest, DirectAndFilterMatchBruteForce) {
+  // CI's planner-differential loop exports GOOD_PLANNER_SEED to shift
+  // the sweep to fresh seeds each iteration (printed on failure).
+  const char* base = std::getenv("GOOD_PLANNER_SEED");
+  const int seed =
+      GetParam() +
+      (base != nullptr
+           ? static_cast<int>(std::strtoul(base, nullptr, 10) % 1000000)
+           : 0);
+  std::mt19937 rng(static_cast<unsigned>(seed));
+  const Scheme scheme = hypermedia::BuildScheme().ValueOrDie();
+  const auto& l = hypermedia::Labels::Get();
+  Instance g = BuildStart(scheme, &rng);
+  for (NodeId doc : g.NodesWithLabel(l.info)) {
+    if (rng() % 4 == 0) g.AddEdge(scheme, doc, l.links_to, doc).OrDie();
+  }
+
+  const int shape = seed % 6;
+  GraphBuilder b(scheme);
+  std::vector<NodeId> positive;
+  std::vector<NodeId> infos;  // Pattern Info nodes, positive ones first.
+  std::set<NodeId> dated;     // Info nodes whose (functional) created is set.
+  const size_t num_positive = shape == 0 ? 0 : 1 + rng() % 3;
+  for (size_t i = 0; i < num_positive; ++i) {
+    positive.push_back(b.Object("Info"));
+    infos.push_back(positive.back());
+  }
+  std::vector<graph::Edge> crossed_edges;
+  for (NodeId a : positive) {
+    for (NodeId c : positive) {
+      const bool crossed_loop = shape == 1 && a == c && a == positive[0];
+      if (!crossed_loop && rng() % 3 != 0) continue;
+      b.Edge(a, "links-to", c);
+      if (crossed_loop || shape == 4 || rng() % 3 == 0) {
+        crossed_edges.push_back(graph::Edge{a, l.links_to, c});
+      }
+    }
+  }
+  const size_t num_crossed = shape == 4 ? 0 : shape == 5 ? 3 : 1 + rng() % 3;
+  bool valued_date = false;
+  for (size_t i = 0; i < num_crossed; ++i) {
+    const bool date = (shape == 2 && i == 0) || rng() % 4 == 0;
+    if (date) {
+      // A Date valued at most once (printable nodes are unique per
+      // value); day 5 is absent from the instance.
+      const bool valued = !valued_date && (shape == 2 || rng() % 2 == 0);
+      valued_date |= valued;
+      const NodeId d =
+          valued ? b.Printable("Date",
+                               Value(Date{1990, 1,
+                                          1 + static_cast<int>(rng() % 5)}))
+                 : b.Printable("Date");
+      std::vector<NodeId> undated;
+      for (NodeId n : infos) {
+        if (!dated.contains(n)) undated.push_back(n);
+      }
+      if (!undated.empty() && rng() % 4 != 0) {
+        const NodeId source = undated[rng() % undated.size()];
+        b.Edge(source, "created", d);
+        dated.insert(source);
+      }
+      continue;
+    }
+    const NodeId c = b.Object("Info");
+    const bool isolated = shape == 3 && i == 0;
+    for (NodeId other : infos) {
+      if (isolated && other != c) continue;
+      if (rng() % 3 == 0) b.Edge(c, "links-to", other);
+      if (rng() % 3 == 0) b.Edge(other, "links-to", c);
+    }
+    if (shape == 1 || rng() % 4 == 0) b.Edge(c, "links-to", c);
+    if (!isolated) infos.push_back(c);
+  }
+
+  macros::NegatedPattern negated;
+  negated.full = b.BuildOrDie();
+  negated.positive_nodes = positive;
+  negated.crossed_edges = crossed_edges;
+  const pattern::Pattern positive_part = negated.PositivePart().ValueOrDie();
+
+  using Key = std::vector<uint32_t>;
+  auto key = [&](const pattern::Matching& m) {
+    Key k;
+    for (NodeId n : positive) k.push_back(m.At(n).id);
+    return k;
+  };
+  std::set<Key> extensible;
+  for (const auto& m : pattern::FindMatchingsBruteForce(negated.full, g)) {
+    extensible.insert(key(m));
+  }
+  std::set<Key> want;
+  for (const auto& m : pattern::FindMatchingsBruteForce(positive_part, g)) {
+    if (!extensible.contains(key(m))) want.insert(key(m));
+  }
+  const std::string where = "seed=" + std::to_string(seed) +
+                            " shape=" + std::to_string(shape);
+
+  std::set<Key> direct;
+  for (const auto& m : macros::EvaluateNegated(negated, g).ValueOrDie()) {
+    direct.insert(key(m));
+  }
+  EXPECT_EQ(direct, want) << where;
+
+  const ops::MatchFilter filter = macros::NegationFilter(negated).ValueOrDie();
+  std::set<Key> filtered;
+  for (const auto& m : pattern::FindMatchings(positive_part, g)) {
+    if (filter(m, g).ValueOrDie()) filtered.insert(key(m));
+  }
+  EXPECT_EQ(filtered, want) << where;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NegationDifferentialTest,
                          ::testing::Range(0, 30));
 
 /// Naive-vs-incremental rule-fixpoint differential on seeded random

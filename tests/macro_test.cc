@@ -55,6 +55,19 @@ class MacroTest : public ::testing::Test {
     return negated;
   }
 
+  /// Infos that are NOT the old version of anything: the crossed part
+  /// is a whole Version node with an old-edge to the info.
+  NegatedPattern CrossedVersionPattern() {
+    GraphBuilder b(scheme_);
+    NodeId info = b.Object("Info");
+    NodeId version = b.Object("Version");
+    b.Edge(version, "old", info);
+    NegatedPattern negated;
+    negated.full = b.BuildOrDie();
+    negated.positive_nodes = {info};
+    return negated;
+  }
+
   Scheme scheme_;
   Instance instance_;
   hypermedia::InstanceNodes nodes_;
@@ -124,15 +137,8 @@ TEST_F(MacroTest, Fig27TranslationAgreesWithDirectEvaluation) {
 }
 
 TEST_F(MacroTest, NegationWithCrossedNode) {
-  // Infos that are NOT the old version of anything: crossed part is a
-  // whole Version node with an old-edge to the info.
-  GraphBuilder b(scheme_);
-  NodeId info = b.Object("Info");
-  NodeId version = b.Object("Version");
-  b.Edge(version, "old", info);
-  NegatedPattern negated;
-  negated.full = b.BuildOrDie();
-  negated.positive_nodes = {info};
+  NegatedPattern negated = CrossedVersionPattern();
+  const NodeId info = negated.positive_nodes.front();
   auto matchings = EvaluateNegated(negated, instance_).ValueOrDie();
   // Only rock_old is an old version: 13 infos - 1 = 12 survive.
   EXPECT_EQ(matchings.size(), 12u);
@@ -156,31 +162,35 @@ TEST_F(MacroTest, NegationFilterMatchesDirectEvaluation) {
 TEST_F(MacroTest, NegationFilterPropagatesExpiredDeadline) {
   // An interrupted extension check must surface the interrupt, not read
   // as "not extensible" (which would silently accept the matching).
-  NegatedPattern negated = Fig26Pattern();
-  common::Deadline expired =
-      common::Deadline::After(std::chrono::seconds(-1));
-  auto filter = NegationFilter(negated, &expired).ValueOrDie();
-  pattern::Pattern positive = negated.PositivePart().ValueOrDie();
-  auto matchings = pattern::FindMatchings(positive, instance_);
-  ASSERT_FALSE(matchings.empty());
-  Result<bool> verdict = filter(matchings.front(), instance_);
-  ASSERT_FALSE(verdict.ok());
-  EXPECT_TRUE(verdict.status().IsDeadlineExceeded());
+  // Figure 26 crosses only an edge (the edge-probe check); the crossed
+  // Version node takes the matcher check.
+  for (const NegatedPattern& negated :
+       {Fig26Pattern(), CrossedVersionPattern()}) {
+    common::Deadline expired =
+        common::Deadline::After(std::chrono::seconds(-1));
+    auto filter = NegationFilter(negated, &expired).ValueOrDie();
+    pattern::Pattern positive = negated.PositivePart().ValueOrDie();
+    auto matchings = pattern::FindMatchings(positive, instance_);
+    ASSERT_FALSE(matchings.empty());
+    Result<bool> verdict = filter(matchings.front(), instance_);
+    ASSERT_FALSE(verdict.ok());
+    EXPECT_TRUE(verdict.status().IsDeadlineExceeded());
 
-  // EvaluateNegated is cut short the same way...
-  EXPECT_TRUE(EvaluateNegated(negated, instance_, &expired)
-                  .status()
-                  .IsDeadlineExceeded());
-  // ...and cancellation travels the same path.
-  common::CancelToken token;
-  token.Cancel();
-  common::Deadline cancelled;
-  cancelled.ObserveCancellation(&token);
-  auto cancelled_filter = NegationFilter(negated, &cancelled).ValueOrDie();
-  Result<bool> cancelled_verdict =
-      cancelled_filter(matchings.front(), instance_);
-  ASSERT_FALSE(cancelled_verdict.ok());
-  EXPECT_TRUE(cancelled_verdict.status().IsCancelled());
+    // EvaluateNegated is cut short the same way...
+    EXPECT_TRUE(EvaluateNegated(negated, instance_, &expired)
+                    .status()
+                    .IsDeadlineExceeded());
+    // ...and cancellation travels the same path.
+    common::CancelToken token;
+    token.Cancel();
+    common::Deadline cancelled;
+    cancelled.ObserveCancellation(&token);
+    auto cancelled_filter = NegationFilter(negated, &cancelled).ValueOrDie();
+    Result<bool> cancelled_verdict =
+        cancelled_filter(matchings.front(), instance_);
+    ASSERT_FALSE(cancelled_verdict.ok());
+    EXPECT_TRUE(cancelled_verdict.status().IsCancelled());
+  }
 }
 
 TEST_F(MacroTest, NegatedPatternValidatesInputs) {
@@ -191,6 +201,11 @@ TEST_F(MacroTest, NegatedPatternValidatesInputs) {
   negated2.crossed_edges.push_back(
       graph::Edge{info_, Sym("links-to"), date_});
   EXPECT_FALSE(EvaluateNegated(negated2, instance_).ok());
+  NegatedPattern repeated = CrossedVersionPattern();
+  repeated.positive_nodes.push_back(repeated.positive_nodes.front());
+  EXPECT_TRUE(
+      EvaluateNegated(repeated, instance_).status().IsInvalidArgument());
+  EXPECT_TRUE(NegationFilter(repeated).status().IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------

@@ -515,6 +515,57 @@ TEST(MatcherTest, ExistsCheckedFindsMatchUnderLiveDeadline) {
   EXPECT_TRUE(*result);
 }
 
+TEST(MatcherTest, ExistsCheckedPinsBoundNodes) {
+  // Chain node i has id 2i, its value id 2i + 1.
+  Scheme s = ChainScheme();
+  Instance g = ChainInstance(s, 5);
+  GraphBuilder b(s);
+  NodeId x = b.Object("N");
+  NodeId y = b.Object("N");
+  NodeId z = b.Object("N");
+  b.Edge(x, "next", y).Edge(y, "next", z);
+  Pattern p = b.BuildOrDie();
+  auto exists = [&](std::vector<std::pair<NodeId, uint32_t>> pins) {
+    Matching bound;
+    for (const auto& [node, image] : pins) bound.Bind(node, NodeId{image});
+    return Matcher(p, g).ExistsChecked(bound).ValueOrDie();
+  };
+  EXPECT_TRUE(exists({{x, 2}}));           // 1 -> 2 -> 3.
+  EXPECT_FALSE(exists({{x, 6}}));          // 3 -> 4 -> nothing.
+  EXPECT_TRUE(exists({{x, 0}, {z, 4}}));   // 0 -> 1 -> 2.
+  EXPECT_FALSE(exists({{x, 0}, {y, 4}}));  // 0 -/-> 2.
+  EXPECT_FALSE(exists({{z, 0}}));          // Nothing precedes 0.
+  EXPECT_FALSE(exists({{x, 1}}));          // A V node, not an N node.
+  EXPECT_FALSE(exists({{NodeId{7}, 0}}));  // Not a pattern node.
+
+  // The pinned node is planned first, estimated and placed as one
+  // candidate.
+  MatchStats stats;
+  MatchOptions with_stats;
+  with_stats.stats = &stats;
+  Matching pin_y;
+  pin_y.Bind(y, NodeId{4});
+  EXPECT_TRUE(Matcher(p, g, with_stats).ExistsChecked(pin_y).ValueOrDie());
+  ASSERT_EQ(stats.plan_order.size(), 3u);
+  EXPECT_EQ(stats.plan_order[0], y.id);
+  EXPECT_EQ(stats.depth_est_fanout[0], 1.0);
+  EXPECT_EQ(stats.depth_fanout[0], 1u);
+
+  graph::UndoJournal journal;
+  g.AttachJournal(&journal);
+  g.AddEdge(s, NodeId{8}, Sym("next"), NodeId{0}).OrDie();
+  g.DetachJournal();
+  const DeltaSet delta = BuildDeltaSince(journal, 0);
+  MatchOptions delta_options;
+  delta_options.delta = &delta;
+  Matching bound;
+  bound.Bind(x, NodeId{8});
+  EXPECT_TRUE(Matcher(p, g, delta_options)
+                  .ExistsChecked(bound)
+                  .status()
+                  .IsInvalidArgument());
+}
+
 // --- Cost-based planner. ---
 
 /// A,B,C scheme with skewed fan-outs for exercising selectivity
@@ -1293,11 +1344,55 @@ void ExpectEntryPointsAgree(const Pattern& p, const Instance& g,
   }
 }
 
+/// ExistsChecked(bound) equals "some FindAllChecked matching agrees with
+/// `bound`", under both planners, for bounds cut from random subsets of
+/// the matchings' images (mixed across matchings, so either answer
+/// occurs) and for one image of the wrong label.
+void ExpectBoundExistsAgrees(const Pattern& p, const Instance& g,
+                             const std::vector<NodeId>& objects,
+                             std::mt19937* rng, const std::string& where) {
+  const std::vector<Matching> all = Matcher(p, g).FindAllChecked().ValueOrDie();
+  auto extended = [&](const Matching& bound) {
+    return std::any_of(all.begin(), all.end(), [&](const Matching& m) {
+      for (const auto& [node, image] : bound.map()) {
+        if (m.At(node) != image) return false;
+      }
+      return true;
+    });
+  };
+  auto exists = [&](const Matching& bound, PlannerMode planner) {
+    MatchOptions options;
+    options.planner = planner;
+    return Matcher(p, g, options).ExistsChecked(bound).ValueOrDie();
+  };
+  const std::vector<NodeId> nodes = p.AllNodes();
+  for (int trial = 0; trial < 6 && !all.empty(); ++trial) {
+    Matching bound;
+    for (NodeId m : nodes) {
+      if ((*rng)() % 2 == 0) bound.Bind(m, all[(*rng)() % all.size()].At(m));
+    }
+    const std::string at = where + " trial=" + std::to_string(trial);
+    EXPECT_EQ(exists(bound, PlannerMode::kCostBased), extended(bound)) << at;
+    EXPECT_EQ(exists(bound, PlannerMode::kNaive), extended(bound)) << at;
+  }
+  if (nodes.empty()) return;
+  const NodeId m = nodes[(*rng)() % nodes.size()];
+  for (NodeId o : objects) {
+    if (g.LabelOf(o) == p.LabelOf(m)) continue;
+    Matching bound;
+    bound.Bind(m, o);
+    EXPECT_FALSE(exists(bound, PlannerMode::kCostBased)) << where;
+    EXPECT_FALSE(exists(bound, PlannerMode::kNaive)) << where;
+    break;
+  }
+}
+
 /// FindAllChecked, ForEachChecked, CountChecked and ExistsChecked agree
 /// with one another at every thread count and threshold, on full runs
-/// and on delta runs over a journaled growth window. Instances are
-/// small, or (one seed in four) hold about 70 objects per label so the
-/// default parallel threshold engages too.
+/// and on delta runs over a journaled growth window; ExistsChecked with
+/// pinned nodes then agrees with FindAllChecked on the grown instance.
+/// Instances are small, or (one seed in four) hold about 70 objects per
+/// label so the default parallel threshold engages too.
 class EntryPointAgreementTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EntryPointAgreementTest, SequencesAndStatsAgreeAcrossEntryPoints) {
@@ -1330,6 +1425,7 @@ TEST_P(EntryPointAgreementTest, SequencesAndStatsAgreeAcrossEntryPoints) {
   MatchOptions delta_options;
   delta_options.delta = &delta;
   ExpectEntryPointsAgree(p, g, delta_options, where + " delta");
+  ExpectBoundExistsAgrees(p, g, objects, &rng, where + " bound");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EntryPointAgreementTest,

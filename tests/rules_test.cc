@@ -122,6 +122,22 @@ TEST_F(RulesTest, NegatedConditionTagsOrphans) {
   EXPECT_GE(expected, 1u);
 }
 
+TEST_F(RulesTest, RepeatedPositiveNodeIsRejected) {
+  // Listing x twice would make the node count match the list length
+  // and hide the crossed node, so the rule would tag every Info.
+  GraphBuilder b(scheme_);
+  NodeId x = b.Object("Info");
+  NodeId someone = b.Object("Info");
+  b.Edge(someone, "links-to", x);
+  Rule orphan;
+  orphan.name = "orphan";
+  orphan.condition.full = b.BuildOrDie();
+  orphan.condition.positive_nodes = {x, x};
+  orphan.node = NodeAction{Sym("Orphan"), {{Sym("is"), x}}};
+  RuleEngine engine;
+  EXPECT_TRUE(engine.AddRule(std::move(orphan)).IsInvalidArgument());
+}
+
 TEST_F(RulesTest, RulesComposeAcrossRounds) {
   // Rule 1 derives Tag objects; rule 2 (whose condition mentions Tag)
   // only fires in later rounds, showing the round-robin fixpoint.
